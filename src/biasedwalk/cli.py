@@ -524,6 +524,8 @@ def _run_rate_fn(cfg: dict):
     if x is not None:
         if len(x) != p.dim:
             raise CliError(f"--x needs {p.dim} comma-separated components")
+        if not all(math.isfinite(c) for c in x):
+            raise CliError(f"--x components must be finite, got {list(x)}")
         res = ldp.rate_function(p, x)
         payload = _rate_row_dict(x, res)
         csv_text = ldp.rate_grid_csv_text(p, [x])

@@ -47,7 +47,7 @@ class ModelParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam!r}")

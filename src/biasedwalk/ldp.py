@@ -67,6 +67,8 @@ def _coerce_point(p: ModelParams, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (p.dim,):
         raise ValueError(f"x must have {p.dim} coordinates, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x.tolist()}")
     return x
 
 
@@ -266,7 +268,15 @@ def _solve_newton(
             return t, used - 1
         q = (up - down) / big_h
         hess = np.diag((up + down) / big_h) - np.outer(q, q)
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            # with lam below the rounding resolution of h the Hessian can
+            # be exactly singular
+            raise ConvergenceError(
+                "projected Newton met a singular Hessian: lam is too small "
+                "for the curvature to be resolved"
+            ) from None
         g0 = objective(t)
         predicted = float(grad @ step)
         # Inside the quadratic-convergence phase the per-step gain drops

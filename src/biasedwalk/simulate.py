@@ -17,12 +17,26 @@ Each step converts one uniform into a move by inverse transform over the
 2d cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] whose widths
 are the reflected-kernel weights (lam for a down move off the boundary, 2
 for an up move on it, 1 otherwise, all relative to the site weight D).
-Aggregations use fixed-shape numpy reductions only, so the summary is
-reproducible bit for bit.
+
+The walk advances in blocks of _BLOCK steps.  A path whose smallest
+coordinate is at least the block length cannot reach a hyperplane inside
+the block, so every step of it uses the one constant table of cells off
+the hyperplanes: its draws for the whole block are converted at once and
+its position, history and visit count are updated from the moves.  Every
+other path takes the block one step at a time, with the cells of its
+current site.  Both give the moves of a plain step-by-step loop, bit for
+bit.
+
+The martingale sums are kept as integer tallies of (path, step) pairs by
+the number of zero coordinates at the source site, whether coordinate i is
+zero there and the move on coordinate i.  They are turned into floats once,
+at the end, in a fixed order, so the summary does not depend on how paths
+were grouped into blocks and is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,14 +53,24 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 # Budget on paths * dim for the in-memory state block.
 DEFAULT_MAX_ELEMENTS = 50_000_000
 
+# Steps per block.  A path whose smallest coordinate is at least the block
+# length cannot reach a coordinate hyperplane before the block's last step.
+_BLOCK = 12
+# Paths advanced together.  Far from the hyperplanes a (_BLOCK, rows)
+# temporary then holds about 16K elements and stays in cache; near them
+# each step costs a few dozen numpy calls, which a wider chunk amortises.
+_FAR_ROWS = 16384 // _BLOCK
+_NEAR_ROWS = 4096
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wrapping arithmetic)."""
     z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _path_states(seed: int, m: int) -> np.ndarray:
@@ -56,9 +80,13 @@ def _path_states(seed: int, m: int) -> np.ndarray:
     return _mix64(np.uint64(seed_mixed) + offsets)
 
 
-def _step_uniforms(states: np.ndarray, t: int) -> np.ndarray:
-    """Uniform [0,1) draw number t (0-based) for every path stream."""
-    counter = np.uint64(((t + 1) * _GAMMA) & _MASK)
+def _step_uniforms(states: np.ndarray, t) -> np.ndarray:
+    """Uniform [0,1) draw number t (0-based) for every path stream.
+
+    t may also be an integer array of shape (k, 1), which gives the (k, m)
+    block of draws t[0], ..., t[k-1] with the same bits."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.uint64))
+    counter = (t + np.uint64(1)) * np.uint64(_GAMMA)     # wraps mod 2**64
     bits = _mix64(states + counter)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
@@ -109,6 +137,10 @@ class BatchSummary:
                             which some coordinate is zero.
     martingale_mean:        average over all (path, step) pairs of the
                             increments xi_k = |X_k| - |X_{k-1}| - f(X_{k-1}).
+                            The increments take finitely many values; their
+                            sum is formed once from integer counts of each
+                            value, so it is independent of how paths were
+                            grouped into blocks.
     """
 
     mean_endpoint: np.ndarray
@@ -134,6 +166,138 @@ class _RawBatch:
     states: np.ndarray | None   # (n+1, m, d) full history if requested
 
 
+def _cell_index(widths: list, threshold: np.ndarray) -> np.ndarray:
+    """Inverse transform over the 2d cells (coord 0, -1), (coord 0, +1),
+    (coord 1, -1), ... with the given widths (scalars or arrays): the number
+    of running width totals, up to the next-to-last cell, that do not
+    exceed the threshold.  The totals are summed left to right, as a
+    cumulative sum would."""
+    cum = widths[0]
+    idx = (cum <= threshold).astype(np.int64)
+    for width in widths[1:-1]:
+        cum = cum + width
+        idx += cum <= threshold
+    return idx
+
+
+class _Walk:
+    """State of a batch in flight: positions, streams, visit counts, the
+    optional history and the integer tallies behind the martingale sums.
+
+    Positions are held coordinate-major, ``Y[i, j]`` for coordinate i of
+    path j, so that reductions over the coordinates of every path run along
+    the long axis.  The tallies count (path, step) pairs by the number kap
+    of zero coordinates at the source site: ``moves[kap, z, j]`` those that
+    moved through inverse-transform cell j (coordinate j >> 1, down for
+    even j) from a site where that coordinate is zero (z = 1) or not
+    (z = 0), and ``zeros[i, kap]`` those whose coordinate i is zero."""
+
+    def __init__(self, plan: SimPlan, keep_path: bool) -> None:
+        p = plan.params
+        d, m = p.dim, plan.paths
+        self.dim, self.lam = d, p.lam
+        self.Y = np.tile(np.asarray(plan.start, dtype=np.int64)[:, None], (1, m))
+        self.streams = _path_states(plan.seed, m)
+        self.visits = (self.Y == 0).any(axis=0).astype(np.int64)
+        self.zeros = np.zeros((d, d + 1), dtype=np.int64)
+        self.moves = np.zeros((d + 1, 2, 2 * d), dtype=np.int64)
+        self.history = None
+        if keep_path:
+            self.history = np.empty((plan.steps + 1, m, d), dtype=np.int64)
+            self.history[0] = self.Y.T
+        # Site weight D by number of zero coordinates, and the cell widths
+        # off the hyperplanes.
+        kap = np.arange(d + 1)
+        self.site_weight = d + kap + self.lam * (d - kap)
+        self.far_widths = [self.lam, 1.0] * d
+
+    def far_block(self, rows: np.ndarray, t0: int, k: int) -> None:
+        """Advance rows whose smallest coordinate is at least k by k steps.
+
+        No source site in the block lies on a hyperplane, so every step
+        uses the constant table, and only the block's last index can be a
+        boundary visit."""
+        d, c = self.dim, rows.size
+        Y = self.Y.take(rows, axis=1)
+        u = _step_uniforms(self.streams[rows], np.arange(t0, t0 + k)[:, None])
+        idx = _cell_index(self.far_widths, u * self.site_weight[0])
+        cells = np.bincount(
+            (idx * c + np.arange(c)).ravel(), minlength=2 * d * c
+        ).reshape(d, 2, c)
+        if self.history is not None:
+            step = np.zeros((k, c, d), dtype=np.int64)
+            step[np.arange(k)[:, None], np.arange(c), idx >> 1] = ((idx & 1) << 1) - 1
+            self.history[t0 + 1 : t0 + k + 1, rows] = Y.T + np.cumsum(step, axis=0)
+        Y += cells[:, 1] - cells[:, 0]
+        self.Y[:, rows] = Y
+        self.visits[rows] += (Y == 0).any(axis=0)
+        self.moves[0, 0] += cells.sum(axis=2).ravel()
+
+    def near_block(self, rows: np.ndarray, t0: int, k: int) -> None:
+        """Advance rows by k steps one step at a time, with the site weight
+        and the cells recomputed from the zero coordinates before each step."""
+        d, lam, c = self.dim, self.lam, rows.size
+        Y = self.Y.take(rows, axis=1)
+        streams = self.streams[rows]
+        lane = np.arange(c)
+        visits = np.zeros(c, dtype=np.int64)
+        zero = Y == 0
+        for s in range(k):
+            kap = zero.sum(axis=0)
+            threshold = _step_uniforms(streams, t0 + s) * self.site_weight[kap]
+            down = np.where(zero, 0.0, lam)
+            up = np.where(zero, 2.0, 1.0)
+            idx = _cell_index([w for pair in zip(down, up) for w in pair], threshold)
+            coord = idx >> 1
+            self.moves += np.bincount(
+                (kap * 2 + zero[coord, lane]) * (2 * d) + idx,
+                minlength=self.moves.size,
+            ).reshape(self.moves.shape)
+            at = np.flatnonzero(zero)
+            self.zeros += np.bincount(
+                at // c * (d + 1) + kap[at % c], minlength=self.zeros.size
+            ).reshape(self.zeros.shape)
+            Y[coord, lane] += ((idx & 1) << 1) - 1
+            zero = Y == 0
+            visits += zero.any(axis=0)
+            if self.history is not None:
+                self.history[t0 + s + 1, rows] = Y.T
+        self.Y[:, rows] = Y
+        self.visits[rows] += visits
+
+    def martingale_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sums over all (path, step) pairs of xi = delta - f and xi**2 per
+        coordinate, taken from the tallies in one fixed order with
+        math.fsum, so they do not depend on how paths were grouped into
+        blocks and chunks."""
+        d, lam = self.dim, self.lam
+        # tally[kap, z, delta + 1, i]: pairs with kap zero coordinates at the
+        # source, coordinate i zero there (z = 1) or not, and move delta on i
+        down, up = self.moves[:, :, 0::2], self.moves[:, :, 1::2]
+        zeros = self.zeros.T
+        sites = self.moves.sum(axis=(1, 2))
+        at = np.stack([sites[:, None] - zeros, zeros], axis=1)
+        tally = np.stack([down, at - down - up, up], axis=2)
+        xi_sum, xi_sumsq = np.zeros(d), np.zeros(d)
+        for i in range(d):
+            terms, squares = [], []
+            for (kap, z, j), count in np.ndenumerate(tally[..., i]):
+                if count:
+                    # drift f_i at the source site
+                    f = (2.0 if z else 1.0 - lam) / self.site_weight[kap]
+                    xi = (j - 1) - f
+                    terms.append(int(count) * xi)
+                    squares.append(int(count) * (xi * xi))
+            xi_sum[i] = math.fsum(terms)
+            xi_sumsq[i] = math.fsum(squares)
+        return xi_sum, xi_sumsq
+
+
+def _chunks(rows: np.ndarray, size: int):
+    for lo in range(0, rows.size, size):
+        yield rows[lo : lo + size]
+
+
 def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
     p = plan.params
     d, n, m = p.dim, plan.steps, plan.paths
@@ -141,48 +305,28 @@ def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
         raise ResourceBudgetError(
             f"batch needs {m * d} state elements, budget is {max_elements}"
         )
-    lam = p.lam
-    Y = np.tile(np.asarray(plan.start, dtype=np.int64), (m, 1))
-    rows = np.arange(m)
-    streams = _path_states(plan.seed, m)
-
-    visits = (Y == 0).any(axis=1).astype(np.int64)
-    xi_sum = np.zeros(d)
-    xi_sumsq = np.zeros(d)
-    weights = np.empty((m, 2 * d))
-    history = None
-    if keep_path:
-        if (n + 1) * m * d > max_elements:
-            raise ResourceBudgetError(
-                f"history needs {(n + 1) * m * d} elements, budget is {max_elements}"
-            )
-        history = np.empty((n + 1, m, d), dtype=np.int64)
-        history[0] = Y
-
-    for t in range(n):
-        zero = Y == 0
-        kap = zero.sum(axis=1)
-        site_weight = d + kap + lam * (d - kap)          # (m,)
-        # inverse-transform cells: even slot (coord i, -1), odd (coord i, +1)
-        weights[:, 0::2] = np.where(zero, 0.0, lam)
-        weights[:, 1::2] = np.where(zero, 2.0, 1.0)
-        cum = np.cumsum(weights, axis=1)
-        u = _step_uniforms(streams, t) * site_weight
-        idx = (cum[:, :-1] <= u[:, None]).sum(axis=1)
-        coord = idx >> 1
-        sign = ((idx & 1) << 1) - 1                      # -1 even, +1 odd
-        # martingale increment xi = displacement - drift at the source site
-        xi = np.where(zero, 2.0, 1.0 - lam) / (-site_weight[:, None])
-        xi[rows, coord] += sign
-        xi_sum += xi.sum(axis=0)
-        xi_sumsq += (xi * xi).sum(axis=0)
-        Y[rows, coord] += sign
-        visits += (Y == 0).any(axis=1)
-        if history is not None:
-            history[t + 1] = Y
-
+    if keep_path and (n + 1) * m * d > max_elements:
+        raise ResourceBudgetError(
+            f"history needs {(n + 1) * m * d} elements, budget is {max_elements}"
+        )
+    walk = _Walk(plan, keep_path)
+    # Rows per chunk within the budget: the largest array a block makes,
+    # the far rows' per-step moves, holds _BLOCK * d elements per row.
+    cap = max(1, max_elements // (_BLOCK * d))
+    for t0 in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - t0)
+        far = walk.Y.min(axis=0) >= k
+        for rows in _chunks(np.flatnonzero(far), min(_FAR_ROWS, cap)):
+            walk.far_block(rows, t0, k)
+        for rows in _chunks(np.flatnonzero(~far), min(_NEAR_ROWS, cap)):
+            walk.near_block(rows, t0, k)
+    xi_sum, xi_sumsq = walk.martingale_sums()
     return _RawBatch(
-        endpoints=Y, visits=visits, xi_sum=xi_sum, xi_sumsq=xi_sumsq, states=history
+        endpoints=np.ascontiguousarray(walk.Y.T),
+        visits=walk.visits,
+        xi_sum=xi_sum,
+        xi_sumsq=xi_sumsq,
+        states=walk.history,
     )
 
 

@@ -89,6 +89,7 @@ def test_no_subcommand_exits_one(capsys):
           "--n-list", "10"], "--s"),
         (["dominate", "--dim", "1", "--lambda", "0.25", "--mode", "upper",
           "--n-max", "2", "--start", "1"], "--start"),
+        (["rate-fn", "--dim", "2", "--lambda", "0.5", "--x", "nan,0.1"], "--x"),
     ],
 )
 def test_domain_errors_name_the_flag(argv, flag, capsys):
@@ -115,6 +116,19 @@ def test_convergence_failure_exits_two(monkeypatch, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_tiny_lambda_rate_fails_as_numerical_error(capsys):
+    # lam = 1e-300 is below the resolution of the Newton Hessian: that is a
+    # numerical failure (exit 2), not an argument error (exit 1).
+    code, out, err = run_cli(
+        ["rate-fn", "--dim", "2", "--lambda", "1e-300", "--x", "0.2,0.3"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_rate_fn_needs_exactly_one_of_x_and_grid(capsys):

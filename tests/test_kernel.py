@@ -171,6 +171,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         ModelParams(0, 0.5)
     with pytest.raises(ValueError):
+        ModelParams(True, 0.5)
+    with pytest.raises(ValueError):
         ModelParams(2, 1.0)
     with pytest.raises(ValueError):
         ModelParams(2, -0.1)

@@ -232,6 +232,14 @@ def test_rate_rejects_deterministic_walk():
         ldp.rate_function(ModelParams(1, 0.0), [0.5])
 
 
+@pytest.mark.parametrize("x", [[math.nan, 0.1], [0.2, math.inf], [-math.inf, 0.0]])
+def test_rate_rejects_non_finite_point(x):
+    # NaN fails every domain comparison, so it would otherwise be classed
+    # as interior and given a plausible-looking rate.
+    with pytest.raises(ValueError, match="finite"):
+        ldp.rate_function(ModelParams(2, 0.5), x)
+
+
 def test_rate_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(ldp, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError):

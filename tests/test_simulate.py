@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasedwalk import ModelParams, ResourceBudgetError, reflected_kernel
 from biasedwalk.exact import propagate
@@ -20,9 +22,105 @@ from biasedwalk.simulate import (
     simulate_batch,
     trajectories,
     trajectory,
+    _BLOCK,
+    _RawBatch,
     _path_states,
+    _run,
     _step_uniforms,
 )
+
+
+def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
+    """The original one-step-at-a-time loop over all paths, kept as the
+    reference that the block-stepping ``_run`` must reproduce."""
+    p = plan.params
+    d, n, m = p.dim, plan.steps, plan.paths
+    if m * d > max_elements:
+        raise ResourceBudgetError(
+            f"batch needs {m * d} state elements, budget is {max_elements}"
+        )
+    lam = p.lam
+    Y = np.tile(np.asarray(plan.start, dtype=np.int64), (m, 1))
+    rows = np.arange(m)
+    streams = _path_states(plan.seed, m)
+
+    visits = (Y == 0).any(axis=1).astype(np.int64)
+    xi_sum = np.zeros(d)
+    xi_sumsq = np.zeros(d)
+    weights = np.empty((m, 2 * d))
+    history = None
+    if keep_path:
+        if (n + 1) * m * d > max_elements:
+            raise ResourceBudgetError(
+                f"history needs {(n + 1) * m * d} elements, budget is {max_elements}"
+            )
+        history = np.empty((n + 1, m, d), dtype=np.int64)
+        history[0] = Y
+
+    for t in range(n):
+        zero = Y == 0
+        kap = zero.sum(axis=1)
+        site_weight = d + kap + lam * (d - kap)          # (m,)
+        # inverse-transform cells: even slot (coord i, -1), odd (coord i, +1)
+        weights[:, 0::2] = np.where(zero, 0.0, lam)
+        weights[:, 1::2] = np.where(zero, 2.0, 1.0)
+        cum = np.cumsum(weights, axis=1)
+        u = _step_uniforms(streams, t) * site_weight
+        idx = (cum[:, :-1] <= u[:, None]).sum(axis=1)
+        coord = idx >> 1
+        sign = ((idx & 1) << 1) - 1                      # -1 even, +1 odd
+        # martingale increment xi = displacement - drift at the source site
+        xi = np.where(zero, 2.0, 1.0 - lam) / (-site_weight[:, None])
+        xi[rows, coord] += sign
+        xi_sum += xi.sum(axis=0)
+        xi_sumsq += (xi * xi).sum(axis=0)
+        Y[rows, coord] += sign
+        visits += (Y == 0).any(axis=1)
+        if history is not None:
+            history[t + 1] = Y
+
+    return _RawBatch(
+        endpoints=Y, visits=visits, xi_sum=xi_sum, xi_sumsq=xi_sumsq, states=history
+    )
+
+
+@st.composite
+def _plans(draw):
+    d = draw(st.integers(1, 5))
+    lam = draw(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    # smallest coordinate on a hyperplane or next to the block length
+    low = draw(st.sampled_from([0, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    start = draw(st.lists(st.integers(low, low + 3), min_size=d, max_size=d))
+    start[draw(st.integers(0, d - 1))] = low
+    steps = draw(st.integers(0, 3 * _BLOCK + 5))
+    paths = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return SimPlan(ModelParams(d, lam), tuple(start), steps, paths, seed)
+
+
+@pytest.mark.parametrize("keep_path", [False, True])
+@settings(max_examples=120, deadline=None)
+@given(plan=_plans(), tight=st.booleans())
+def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
+    # A tight budget splits the paths into many chunks per block.
+    d, n, m = plan.params.dim, plan.steps, plan.paths
+    budget = (n + 1) * m * d if keep_path else m * d
+    fast = _run(plan, keep_path=keep_path, max_elements=budget if tight else 10**8)
+    ref = _reference_run(plan, keep_path=keep_path, max_elements=10**8)
+    assert np.array_equal(fast.endpoints, ref.endpoints)
+    assert np.array_equal(fast.visits, ref.visits)
+    if keep_path:
+        assert np.array_equal(fast.states, ref.states)
+    # The martingale sums are taken in another order, so they may differ
+    # by rounding, at most a few ulps of 1 per increment.
+    count = n * m
+    assert np.all(np.abs(fast.xi_sum - ref.xi_sum) <= 1e-13 * count)
+    assert np.all(np.abs(fast.xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
 
 
 def test_deterministic_outward_walk_is_exact():
@@ -154,8 +252,6 @@ def test_endpoint_distribution_matches_exact_law():
     ends = Counter()
     # endpoints via the public API: batch of one-path trajectories would be
     # slow, so read the endpoint statistics through boundary-free summary
-    from biasedwalk.simulate import _run
-
     raw = _run(plan, keep_path=False, max_elements=10**8)
     for row in map(tuple, raw.endpoints.tolist()):
         ends[row] += 1
