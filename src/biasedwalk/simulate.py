@@ -61,6 +61,7 @@ _BLOCK = 12
 # each step costs a few dozen numpy calls, which a wider chunk amortises.
 _FAR_ROWS = 16384 // _BLOCK
 _NEAR_ROWS = 4096
+_PAD = 64
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -253,10 +254,8 @@ class _Walk:
                 (kap * 2 + zero[coord, lane]) * (2 * d) + idx,
                 minlength=self.moves.size,
             ).reshape(self.moves.shape)
-            at = np.flatnonzero(zero)
-            self.zeros += np.bincount(
-                at // c * (d + 1) + kap[at % c], minlength=self.zeros.size
-            ).reshape(self.zeros.shape)
+            for i in range(d):
+                self.zeros[i] += np.bincount(kap[zero[i]], minlength=d + 1)
             Y[coord, lane] += ((idx & 1) << 1) - 1
             zero = Y == 0
             visits += zero.any(axis=0)
@@ -316,6 +315,12 @@ def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
     for t0 in range(0, n, _BLOCK):
         k = min(_BLOCK, n - t0)
         far = walk.Y.min(axis=0) >= k
+        # Far rows may also take the step-by-step path.  Lending it enough
+        # of them to make its row count a multiple of _PAD keeps its
+        # temporaries to a few sizes, which the allocator reuses instead of
+        # growing the heap as the count of near rows drifts.
+        lend = -np.count_nonzero(~far) % _PAD
+        far[np.flatnonzero(far)[:lend]] = False
         for rows in _chunks(np.flatnonzero(far), min(_FAR_ROWS, cap)):
             walk.far_block(rows, t0, k)
         for rows in _chunks(np.flatnonzero(~far), min(_NEAR_ROWS, cap)):
