@@ -30,7 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exact, ldp, simulate
+# Without a bytecode cache, compiling simulate after ldp has loaded
+# scipy.optimize would add the compiler's working memory to the process's
+# peak resident size; compiled first, that memory is reused by the import.
+from . import exact, simulate, ldp
 from .errors import ConvergenceError, ResourceBudgetError
 from .kernel import ModelParams
 
