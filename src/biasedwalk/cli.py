@@ -20,7 +20,6 @@ would be exceeded).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -54,13 +53,16 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Opt:
-    """One merged setting: flag spelling, config key, parser, default."""
+    """One merged setting: config key, value kind, default, and the range
+    that the value (every entry, for a list kind) must lie in."""
 
     key: str                  # config-file key, e.g. "n-list"
-    parse: object             # str -> value (also applied to config text)
+    kind: object              # a key of _KINDS, "bool", or a tuple of choices
     default: object = _REQUIRED
     help: str = ""
-    is_flag: bool = False
+    lo: float | None = None   # least allowed value
+    hi: float | None = None   # largest allowed value, excluded if hi_open
+    hi_open: bool = False
 
     @property
     def flag(self) -> str:
@@ -71,103 +73,70 @@ class _Opt:
         return self.key.replace("-", "_")
 
 
-def _parse_int(flag: str):
-    def parse(text):
-        try:
-            return int(str(text), 10)
-        except ValueError:
-            raise CliError(f"{flag} expects an integer, got {text!r}") from None
-
-    return parse
-
-
-def _parse_float(flag: str):
-    def parse(text):
-        try:
-            return float(text)
-        except ValueError:
-            raise CliError(f"{flag} expects a number, got {text!r}") from None
-
-    return parse
+# value kind -> (conversion of the text, what the message says it expects)
+_KINDS = {
+    "int": (lambda t: int(t, 10), "an integer"),
+    "float": (float, "a number"),
+    "ints": (lambda t: tuple(int(c, 10) for c in t.split(",")),
+             "comma-separated integers"),
+    "floats": (lambda t: tuple(float(c) for c in t.split(",")),
+               "comma-separated numbers"),
+    "str": (str, "a string"),
+}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_floats(flag: str):
-    def parse(text):
-        try:
-            return tuple(float(t) for t in str(text).split(","))
-        except ValueError:
-            raise CliError(
-                f"{flag} expects comma-separated numbers, got {text!r}"
-            ) from None
-
-    return parse
-
-
-def _parse_ints(flag: str):
-    def parse(text):
-        try:
-            return tuple(int(t, 10) for t in str(text).split(","))
-        except ValueError:
-            raise CliError(
-                f"{flag} expects comma-separated integers, got {text!r}"
-            ) from None
-
-    return parse
-
-
-def _parse_choice(flag: str, choices: tuple[str, ...]):
-    def parse(text):
-        value = str(text)
-        if value not in choices:
-            raise CliError(f"{flag} must be one of {'/'.join(choices)}, got {value!r}")
+def _parse(opt: _Opt, text):
+    """Turn flag or config text into a value of the option's kind and check
+    it against the option's range; every message names the flag."""
+    if opt.kind == "bool":
+        value = text if isinstance(text, bool) else _BOOLS.get(str(text).lower())
+        if value is None:
+            raise CliError(f"{opt.flag} expects true or false, got {text!r}")
         return value
-
-    return parse
-
-
-def _parse_bool(flag: str):
-    def parse(text):
-        if isinstance(text, bool):
-            return text
-        value = str(text).lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise CliError(f"{flag} expects true or false, got {text!r}")
-
-    return parse
-
-
-def _parse_str(flag: str):
-    return lambda text: str(text)
+    if isinstance(opt.kind, tuple):
+        if text not in opt.kind:
+            raise CliError(f"{opt.flag} must be one of {'/'.join(opt.kind)}, got {text!r}")
+        return text
+    convert, expected = _KINDS[opt.kind]
+    try:
+        value = convert(str(text))
+    except ValueError:
+        raise CliError(f"{opt.flag} expects {expected}, got {text!r}") from None
+    name = opt.flag + " entries" if isinstance(value, tuple) else opt.flag
+    for v in value if isinstance(value, tuple) else (value,):
+        # written so that NaN fails every bound
+        if (opt.lo is not None and not opt.lo <= v) or (
+            opt.hi is not None and not (v < opt.hi if opt.hi_open else v <= opt.hi)
+        ):
+            bound = (f"be at least {opt.lo}" if opt.hi is None else
+                     f"lie in [{opt.lo}, {opt.hi}{')' if opt.hi_open else ']'}")
+            raise CliError(f"{name} must {bound}, got {v}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise CliError(f"{name} must be finite, got {v}")
+    return value
 
 
 SHARED_OPTS = (
-    _Opt("dim", _parse_int("--dim"), help="lattice dimension d >= 1"),
-    _Opt("lambda", _parse_float("--lambda"), help="bias parameter in [0, 1)"),
-    _Opt("seed", _parse_int("--seed"), default=0, help="stream seed (default 0)"),
-    _Opt(
-        "format",
-        _parse_choice("--format", ("csv", "json")),
-        default="json",
-        help="artifact format (default json)",
-    ),
+    _Opt("dim", "int", help="lattice dimension d >= 1", lo=1),
+    _Opt("lambda", "float", help="bias parameter in [0, 1)", lo=0, hi=1, hi_open=True),
+    _Opt("seed", "int", default=0, help="stream seed (default 0)", lo=0, hi=2**64 - 1),
+    _Opt("format", ("csv", "json"), default="json", help="artifact format (default json)"),
 )
 
 # --out and --config steer the plumbing, not the experiment, so they stay
 # outside the merged/echoed configuration.
 PLUMBING_OPTS = (
-    _Opt("out", _parse_str("--out"), default=None, help="artifact path (default stdout)"),
-    _Opt("config", _parse_str("--config"), default=None, help="key=value config file"),
+    _Opt("out", "str", default=None, help="artifact path (default stdout)"),
+    _Opt("config", "str", default=None, help="key=value config file"),
 )
 
 
-def _steps_paths(steps_default: int, paths_default: int) -> tuple[_Opt, ...]:
+def _steps_paths(steps_default: int, paths_default: int, min_steps: int = 1):
     return (
-        _Opt("steps", _parse_int("--steps"), default=steps_default,
+        _Opt("steps", "int", default=steps_default, lo=min_steps,
              help=f"steps per path (default {steps_default})"),
-        _Opt("paths", _parse_int("--paths"), default=paths_default,
+        _Opt("paths", "int", default=paths_default, lo=1,
              help=f"number of paths (default {paths_default})"),
     )
 
@@ -176,8 +145,14 @@ def _steps_paths(steps_default: int, paths_default: int) -> tuple[_Opt, ...]:
 class _Command:
     name: str
     opts: tuple[_Opt, ...]
-    run: object               # cfg dict -> (payload, csv_text, summary)
+    run: object               # cfg dict -> (payload, csv header, csv rows, summary)
     help: str
+
+    @property
+    def all_opts(self) -> tuple[_Opt, ...]:
+        """The shared options, each replaced by the command's own option of
+        the same key, then the command's other options."""
+        return tuple({opt.key: opt for opt in SHARED_OPTS + self.opts}.values())
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -198,25 +173,20 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _merge(command: _Command, args: argparse.Namespace) -> dict:
-    table = dict(vars(args))
-    file_values = _load_config_file(table["config"]) if table.get("config") else {}
-    cfg: dict = {"command": command.name}
-    for opt in SHARED_OPTS + command.opts:
-        value = table.get(opt.dest)
-        if value is None and opt.key in file_values:
-            value = opt.parse(file_values[opt.key])
-        if value is None:
-            if opt.default is _REQUIRED:
-                raise CliError(f"{command.name}: {opt.flag} is required")
-            value = opt.default
-        cfg[opt.dest] = value
-    cfg["out"] = table.get("out")
-    if cfg["dim"] < 1:
-        raise CliError(f"--dim must be at least 1, got {cfg['dim']}")
-    if not 0.0 <= cfg["lambda"] < 1.0:
-        raise CliError(f"--lambda must lie in [0, 1), got {cfg['lambda']}")
-    if cfg["seed"] < 0:
-        raise CliError(f"--seed must be nonnegative, got {cfg['seed']}")
+    """Resolve every setting from its flag, else the --config file, else its
+    default; flag and file text go through the same parse."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    cfg: dict = {"command": command.name, "out": args.out}
+    for opt in command.all_opts:
+        text = getattr(args, opt.dest)
+        if text is None:
+            text = file_values.get(opt.key)
+        if text is not None:
+            cfg[opt.dest] = _parse(opt, text)
+        elif opt.default is _REQUIRED:
+            raise CliError(f"{command.name}: {opt.flag} is required")
+        else:
+            cfg[opt.dest] = opt.default
     return cfg
 
 
@@ -225,22 +195,12 @@ def _params(cfg: dict) -> ModelParams:
 
 
 def _start(cfg: dict, default: tuple[int, ...]) -> tuple[int, ...]:
-    raw = cfg.get("start")
-    if raw is None:
+    start = cfg.get("start")
+    if start is None:
         return default
-    start = tuple(raw)
     if len(start) != cfg["dim"]:
         raise CliError(f"--start needs {cfg['dim']} comma-separated coordinates")
-    if any(c < 0 for c in start):
-        raise CliError("--start coordinates must be nonnegative")
     return start
-
-
-def _echo(command: _Command, cfg: dict) -> dict:
-    echo = {"command": cfg["command"]}
-    for opt in SHARED_OPTS + command.opts:
-        echo[opt.key] = cfg[opt.dest]
-    return echo
 
 
 def _jsonable(value):
@@ -264,17 +224,12 @@ def _jsonable(value):
     return value
 
 
-def _config_comment_value(value) -> str:
+def _cell(value) -> str:
+    """Text of a CSV cell or of a config value in a CSV comment."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return ",".join(_config_comment_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _cell(value) -> str:
+        return ",".join(_cell(v) for v in value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (np.integer,)):
@@ -288,6 +243,29 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_artifact(command: _Command, cfg: dict, payload: dict, header: list[str],
+                     rows) -> str:
+    """The artifact in the requested format only: the payload as JSON, or
+    the rows as a CSV table; both carry the effective configuration."""
+    echo = {"command": cfg["command"]}
+    echo.update((opt.key, cfg[opt.dest]) for opt in command.all_opts)
+    if cfg["format"] == "json":
+        body = {"config": echo, **payload}
+        return json.dumps(_jsonable(body), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    comments = "".join(
+        f"# {key}={_cell(value)}\n"
+        for key, value in sorted(echo.items())
+        if value is not None
+    )
+    return comments + _csv_table(header, list(rows))
+
+
+def _records(header: list[str], records: list[dict]) -> list[list]:
+    """CSV rows holding the header's fields of each record."""
+    return [[record[key] for key in header] for record in records]
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -299,14 +277,12 @@ def _run_simulate(cfg: dict):
         p, _start(cfg, (0,) * p.dim), cfg["steps"], cfg["paths"], seed=cfg["seed"]
     )
     if cfg["dump_trajectories"]:
-        states = simulate.trajectories(plan)
-        buf = io.StringIO()
-        simulate.dump_trajectories_csv(states, buf)
-        payload = {"trajectories": states.tolist()}
-        summary = (
-            f"simulate: dumped {plan.paths} trajectories of {plan.steps} steps"
-        )
-        return payload, buf.getvalue(), summary
+        states = simulate.trajectories(plan).tolist()
+        header = ["path", "step"] + [f"x{i + 1}" for i in range(p.dim)]
+        rows = ([j, k, *site] for j, path in enumerate(states)
+                for k, site in enumerate(path))
+        summary = f"simulate: dumped {plan.paths} trajectories of {plan.steps} steps"
+        return {"trajectories": states}, header, rows, summary
     batch = simulate.simulate_batch(plan)
     histogram = dict(sorted(Counter(batch.boundary_visit_counts.tolist()).items()))
     payload = {
@@ -315,25 +291,24 @@ def _run_simulate(cfg: dict):
         "martingale_mean": batch.martingale_mean,
         "boundary_visits": {str(k): v for k, v in histogram.items()},
     }
-    rows: list[list] = []
-    for i, val in enumerate(batch.mean_endpoint):
-        rows.append(["mean_endpoint", i, "", val])
-    for i in range(p.dim):
-        for j in range(p.dim):
-            rows.append(["cov_scaled", i, j, batch.cov_scaled[i, j]])
-    for i, val in enumerate(batch.martingale_mean):
-        rows.append(["martingale_mean", i, "", val])
-    for visits, count in histogram.items():
-        rows.append(["boundary_visits", visits, "", count])
-    csv_text = _csv_table(["stat", "i", "j", "value"], rows)
+    rows = [["mean_endpoint", i, "", v] for i, v in enumerate(batch.mean_endpoint)]
+    rows += [["cov_scaled", i, j, batch.cov_scaled[i, j]]
+             for i in range(p.dim) for j in range(p.dim)]
+    rows += [["martingale_mean", i, "", v] for i, v in enumerate(batch.martingale_mean)]
+    rows += [["boundary_visits", visits, "", n] for visits, n in histogram.items()]
     mean = ", ".join(f"{v:.6g}" for v in batch.mean_endpoint)
     summary = f"simulate: paths={plan.paths} steps={plan.steps} mean_endpoint=[{mean}]"
-    return payload, csv_text, summary
+    return payload, ["stat", "i", "j", "value"], rows, summary
+
+
+def _origin_batch(cfg: dict) -> tuple[ModelParams, simulate.SimPlan]:
+    p = _params(cfg)
+    return p, simulate.SimPlan(p, (0,) * p.dim, cfg["steps"], cfg["paths"],
+                               seed=cfg["seed"])
 
 
 def _run_speed(cfg: dict):
-    p = _params(cfg)
-    plan = simulate.SimPlan(p, (0,) * p.dim, cfg["steps"], cfg["paths"], seed=cfg["seed"])
+    p, plan = _origin_batch(cfg)
     batch = simulate.simulate_batch(plan)
     limit = p.speed
     errors = np.abs(batch.mean_endpoint - limit)
@@ -342,59 +317,38 @@ def _run_speed(cfg: dict):
         "limit": limit,
         "max_abs_error": float(errors.max()),
     }
-    rows = [
-        [i + 1, batch.mean_endpoint[i], limit[i], errors[i]] for i in range(p.dim)
-    ]
-    csv_text = _csv_table(["coord", "observed", "limit", "abs_error"], rows)
+    rows = [[i + 1, batch.mean_endpoint[i], limit[i], errors[i]] for i in range(p.dim)]
     summary = f"speed: max abs error {errors.max():.6g} over {p.dim} coordinates"
-    return payload, csv_text, summary
+    return payload, ["coord", "observed", "limit", "abs_error"], rows, summary
 
 
 def _run_clt(cfg: dict):
-    p = _params(cfg)
-    plan = simulate.SimPlan(p, (0,) * p.dim, cfg["steps"], cfg["paths"], seed=cfg["seed"])
+    p, plan = _origin_batch(cfg)
     batch = simulate.simulate_batch(plan)
     sigma = ldp.sigma_matrix(p)
-    rel = float(
-        np.linalg.norm(batch.cov_scaled - sigma) / np.linalg.norm(sigma)
-    )
-    payload = {
-        "cov_scaled": batch.cov_scaled,
-        "sigma": sigma,
-        "frobenius_rel_error": rel,
-    }
-    rows = [
-        [i + 1, j + 1, batch.cov_scaled[i, j], sigma[i, j]]
-        for i in range(p.dim)
-        for j in range(p.dim)
-    ]
-    csv_text = _csv_table(["i", "j", "observed", "limit"], rows)
+    rel = float(np.linalg.norm(batch.cov_scaled - sigma) / np.linalg.norm(sigma))
+    payload = {"cov_scaled": batch.cov_scaled, "sigma": sigma, "frobenius_rel_error": rel}
+    rows = [[i + 1, j + 1, batch.cov_scaled[i, j], sigma[i, j]]
+            for i in range(p.dim) for j in range(p.dim)]
     summary = f"clt: Frobenius relative error {rel:.6g}"
-    return payload, csv_text, summary
+    return payload, ["i", "j", "observed", "limit"], rows, summary
 
 
 def _run_martingale(cfg: dict):
-    p = _params(cfg)
-    plan = simulate.SimPlan(p, (0,) * p.dim, cfg["steps"], cfg["paths"], seed=cfg["seed"])
+    p, plan = _origin_batch(cfg)
     diag = simulate.martingale_diagnostic(plan)
-    payload = {"mean": diag.mean, "variance": diag.variance}
     rows = [[i + 1, diag.mean[i], diag.variance[i]] for i in range(p.dim)]
-    csv_text = _csv_table(["coord", "mean", "variance"], rows)
     summary = f"martingale: max |mean| {np.abs(diag.mean).max():.6g}"
-    return payload, csv_text, summary
+    return ({"mean": diag.mean, "variance": diag.variance},
+            ["coord", "mean", "variance"], rows, summary)
 
 
 def _run_boundary(cfg: dict):
-    p = _params(cfg)
-    plan = simulate.SimPlan(p, (0,) * p.dim, cfg["steps"], cfg["paths"], seed=cfg["seed"])
+    _, plan = _origin_batch(cfg)
     histogram = simulate.boundary_visits(plan)
-    payload = {"histogram": {str(k): v for k, v in histogram.items()}}
-    rows = [[k, v] for k, v in histogram.items()]
-    csv_text = _csv_table(["visits", "paths"], rows)
-    summary = (
-        f"boundary: {len(histogram)} distinct visit counts over {plan.paths} paths"
-    )
-    return payload, csv_text, summary
+    summary = f"boundary: {len(histogram)} distinct visit counts over {plan.paths} paths"
+    return ({"histogram": {str(k): v for k, v in histogram.items()}},
+            ["visits", "paths"], [[k, v] for k, v in histogram.items()], summary)
 
 
 def _run_mgf(cfg: dict):
@@ -403,43 +357,27 @@ def _run_mgf(cfg: dict):
     if len(s) != p.dim:
         raise CliError(f"--s needs {p.dim} comma-separated components")
     limit = ldp.log_psi(p, s)
-    origin = (0,) * p.dim
-    rows_out = []
+    records = []
     for n in cfg["n_list"]:
-        if n < 1:
-            raise CliError(f"--n-list entries must be positive, got {n}")
-        value = exact.log_mgf(p, origin, n, s)
-        scaled = value / n
-        rows_out.append(
-            {"n": n, "log_mgf": value, "scaled": scaled, "limit": limit,
-             "gap": scaled - limit}
-        )
-    payload = {"s": list(s), "rows": rows_out}
-    csv_text = _csv_table(
-        ["n", "log_mgf", "scaled", "limit", "gap"],
-        [[r["n"], r["log_mgf"], r["scaled"], r["limit"], r["gap"]] for r in rows_out],
-    )
-    summary = f"mgf: final |gap| {abs(rows_out[-1]['gap']):.6g} at n={rows_out[-1]['n']}"
-    return payload, csv_text, summary
+        value = exact.log_mgf(p, (0,) * p.dim, n, s)
+        records.append({"n": n, "log_mgf": value, "scaled": value / n, "limit": limit,
+                        "gap": value / n - limit})
+    header = ["n", "log_mgf", "scaled", "limit", "gap"]
+    last = records[-1]
+    summary = f"mgf: final |gap| {abs(last['gap']):.6g} at n={last['n']}"
+    return {"s": list(s), "rows": records}, header, _records(header, records), summary
 
 
 def _run_return_prob(cfg: dict):
     p = _params(cfg)
-    if cfg["n_max"] < 0:
-        raise CliError(f"--n-max must be nonnegative, got {cfg['n_max']}")
-    profile = exact.return_probability_profile(p, cfg["n_max"])
-    rows_out = [
+    records = [
         {"n": n, "probability": q, "log_prob": math.log(q) if q > 0 else -math.inf}
-        for n, q in profile
+        for n, q in exact.return_probability_profile(p, cfg["n_max"])
     ]
-    payload = {"rows": rows_out}
-    csv_text = _csv_table(
-        ["n", "probability", "log_prob"],
-        [[r["n"], r["probability"], r["log_prob"]] for r in rows_out],
-    )
-    last = rows_out[-1]
+    header = ["n", "probability", "log_prob"]
+    last = records[-1]
     summary = f"return-prob: P(X_{last['n']} = 0) = {last['probability']:.6g}"
-    return payload, csv_text, summary
+    return {"rows": records}, header, _records(header, records), summary
 
 
 def _run_ballot(cfg: dict):
@@ -456,46 +394,33 @@ def _run_ballot(cfg: dict):
         "bound_rhs": rhs,
         "satisfied": lhs >= rhs,
     }
-    csv_text = _csv_table(
-        ["n", "alpha", "beta", "total", "floored", "bound_lhs", "bound_rhs",
-         "satisfied"],
-        [[count.n, count.alpha, count.beta, count.total, count.floored, lhs, rhs,
-          str(lhs >= rhs).lower()]],
-    )
     summary = (
         f"ballot: total={count.total} floored={count.floored} "
         f"bound {'holds' if lhs >= rhs else 'FAILS'}"
     )
-    return payload, csv_text, summary
+    return payload, list(payload), [list(payload.values())], summary
 
 
 def _run_dominate(cfg: dict):
     p = _params(cfg)
-    mode = cfg["mode"]
-    if cfg["n_max"] < 1:
-        raise CliError(f"--n-max must be positive, got {cfg['n_max']}")
-    if mode == "upper" and cfg.get("start") is not None:
+    upper = cfg["mode"] == "upper"
+    if upper and cfg.get("start") is not None:
         raise CliError("dominate: --start applies only to --mode lower")
-    reports = []
-    for n in range(1, cfg["n_max"] + 1):
-        if mode == "upper":
-            reports.append(exact.check_domination_upper(p, n))
-        else:
-            reports.append(
-                exact.check_domination_lower(p, _start(cfg, (1,) * p.dim), n)
-            )
-    payload = {"rows": [r.as_dict() for r in reports]}
-    if mode == "upper":
+    reports = [
+        exact.check_domination_upper(p, n) if upper
+        else exact.check_domination_lower(p, _start(cfg, (1,) * p.dim), n)
+        for n in range(1, cfg["n_max"] + 1)
+    ]
+    records = [r.as_dict() for r in reports]
+    if upper:
         header = ["n", "cells_checked", "max_violation"]
-        rows = [[r.n, r.cells_checked, r.max_violation] for r in reports]
         worst = max(r.max_violation for r in reports)
         summary = f"dominate: upper bound, worst violation {worst:.6g}"
     else:
         header = ["n", "cells_checked", "min_slack"]
-        rows = [[r.n, r.cells_checked, r.min_slack] for r in reports]
         worst = min(r.min_slack for r in reports)
         summary = f"dominate: lower bound, smallest slack {worst:.6g}"
-    return payload, _csv_table(header, rows), summary
+    return {"rows": records}, header, _records(header, records), summary
 
 
 def _require_transform_params(cfg: dict, command: str) -> ModelParams:
@@ -507,18 +432,6 @@ def _require_transform_params(cfg: dict, command: str) -> ModelParams:
     return _params(cfg)
 
 
-def _rate_row_dict(x, res: ldp.RateResult) -> dict:
-    return {
-        "x": [float(c) for c in x],
-        "value": res.value,
-        "class": res.domain_class,
-        "argmax_s": None if res.argmax_s is None else list(res.argmax_s),
-        "at_infinity": res.at_infinity,
-        "iterations": res.iterations,
-        "kkt_residual": res.kkt_residual,
-    }
-
-
 def _run_rate_fn(cfg: dict):
     p = _require_transform_params(cfg, "rate-fn")
     x, grid = cfg.get("x"), cfg.get("grid")
@@ -527,36 +440,42 @@ def _run_rate_fn(cfg: dict):
     if x is not None:
         if len(x) != p.dim:
             raise CliError(f"--x needs {p.dim} comma-separated components")
-        if not all(math.isfinite(c) for c in x):
-            raise CliError(f"--x components must be finite, got {list(x)}")
-        res = ldp.rate_function(p, x)
-        payload = _rate_row_dict(x, res)
-        csv_text = ldp.rate_grid_csv_text(p, [x])
+        points = [x]
+    else:
+        axis = np.linspace(0.0, 1.0, grid)
+        mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+    results = [ldp.rate_function(p, pt) for pt in points]
+    records = [
+        {
+            "x": [float(c) for c in pt],
+            "value": res.value,
+            "class": res.domain_class,
+            "argmax_s": None if res.argmax_s is None else list(res.argmax_s),
+            "at_infinity": res.at_infinity,
+            "iterations": res.iterations,
+            "kkt_residual": res.kkt_residual,
+        }
+        for pt, res in zip(points, results)
+    ]
+    header = [f"x{i + 1}" for i in range(p.dim)] + ["rate", "class", "kkt_residual"]
+    rows = [[*pt, res.value, res.domain_class, res.kkt_residual]
+            for pt, res in zip(points, results)]
+    if x is not None:
+        res = results[0]
         summary = f"rate-fn: value={res.value!r} class={res.domain_class}"
-        return payload, csv_text, summary
-    if grid < 2:
-        raise CliError(f"--grid needs at least 2 steps per axis, got {grid}")
-    axis = np.linspace(0.0, 1.0, grid)
-    mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    rows_out = [_rate_row_dict(pt, ldp.rate_function(p, pt)) for pt in points]
-    finite = sum(1 for r in rows_out if not math.isinf(r["value"]))
-    payload = {"rows": rows_out}
-    csv_text = ldp.rate_grid_csv_text(p, points)
-    summary = f"rate-fn: grid {grid}^{p.dim}, {finite}/{len(rows_out)} points finite"
-    return payload, csv_text, summary
+        return records[0], header, rows, summary
+    finite = sum(1 for res in results if not math.isinf(res.value))
+    summary = f"rate-fn: grid {grid}^{p.dim}, {finite}/{len(results)} points finite"
+    return {"rows": records}, header, rows, summary
 
 
 def _run_matrix_check(cfg: dict):
     p = _params(cfg)
     deviation = ldp.clt_matrix_check(p)
-    payload = {"max_abs_deviation": deviation}
-    csv_text = _csv_table(
-        ["dim", "lambda", "max_abs_deviation"],
-        [[p.dim, p.lam, deviation]],
-    )
     summary = f"matrix-check: max |M M^T - Sigma| = {deviation:.3e}"
-    return payload, csv_text, summary
+    return ({"max_abs_deviation": deviation}, ["dim", "lambda", "max_abs_deviation"],
+            [[p.dim, p.lam, deviation]], summary)
 
 
 def _run_path_rate(cfg: dict):
@@ -570,55 +489,46 @@ def _run_path_rate(cfg: dict):
         raise CliError(
             f"--path breakpoints have dimension {path.dim}, --dim is {p.dim}"
         )
-    action = ldp.path_rate_functional(p, path)
-    segments = []
+    slopes = path.slopes()
+    rates = [ldp.rate_function(p, slope).value for slope in slopes]
+    action = ldp._action(path, rates)
     times = path.times
-    for k, (dt, slope) in enumerate(zip(path.durations(), path.slopes())):
-        segments.append(
-            {
-                "t0": times[k],
-                "t1": times[k + 1],
-                "slope": [float(c) for c in slope],
-                "rate": ldp.rate_function(p, slope).value,
-            }
-        )
-    payload = {"action": action, "segments": segments}
-    rows = [
-        [seg["t0"], seg["t1"], *seg["slope"], seg["rate"]] for seg in segments
+    segments = [
+        {"t0": times[k], "t1": times[k + 1], "slope": [float(c) for c in slope],
+         "rate": rate}
+        for k, (slope, rate) in enumerate(zip(slopes, rates))
     ]
     header = ["t0", "t1"] + [f"slope{i + 1}" for i in range(p.dim)] + ["rate"]
-    csv_text = _csv_table(header, rows)
+    rows = [[seg["t0"], seg["t1"], *seg["slope"], seg["rate"]] for seg in segments]
     summary = f"path-rate: action={action!r} over {len(segments)} segments"
-    return payload, csv_text, summary
+    return {"action": action, "segments": segments}, header, rows, summary
 
 
 def _run_ldp_consistency(cfg: dict):
     p = _require_transform_params(cfg, "ldp-consistency")
     rows = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
-    payload = {"rows": [r.as_dict() for r in rows]}
-    csv_text = _csv_table(
-        ["n", "tail_prob", "empirical_rate", "limit_rate", "gap"],
-        [[r.n, r.tail_prob, r.empirical_rate, r.limit_rate, r.gap] for r in rows],
-    )
+    records = [r.as_dict() for r in rows]
+    header = ["n", "tail_prob", "empirical_rate", "limit_rate", "gap"]
     last = rows[-1]
     summary = (
         f"ldp-consistency: gap {last.gap:.6g} at n={last.n} "
         f"(limit {last.limit_rate:.6g})"
     )
-    return payload, csv_text, summary
+    return {"rows": records}, header, _records(header, records), summary
 
+
+_N_LIST = _Opt("n-list", "ints", help="horizons n1,n2,... to evaluate", lo=1)
 
 _COMMANDS = {
     c.name: c
     for c in (
         _Command(
             "simulate",
-            _steps_paths(1000, 100)
+            _steps_paths(1000, 100, min_steps=0)
             + (
-                _Opt("start", _parse_ints("--start"), default=None,
+                _Opt("start", "ints", default=None, lo=0,
                      help="start site a,b,... (default origin)"),
-                _Opt("dump-trajectories", _parse_bool("--dump-trajectories"),
-                     default=False, is_flag=True,
+                _Opt("dump-trajectories", "bool", default=False,
                      help="emit every path instead of batch statistics"),
             ),
             _run_simulate,
@@ -634,27 +544,22 @@ _COMMANDS = {
                  "histogram of per-path boundary visit counts"),
         _Command(
             "mgf",
-            (
-                _Opt("s", _parse_floats("--s"), help="tilt vector v1,...,vd"),
-                _Opt("n-list", _parse_ints("--n-list"),
-                     help="horizons n1,n2,... to evaluate"),
-            ),
+            (_Opt("s", "floats", help="tilt vector v1,...,vd"), _N_LIST),
             _run_mgf,
             "exact log-mgf per horizon against the limit",
         ),
         _Command(
             "return-prob",
-            (_Opt("n-max", _parse_int("--n-max"),
-                  help="largest horizon (even horizons reported)"),),
+            (_Opt("n-max", "int", lo=0, help="largest horizon (even horizons reported)"),),
             _run_return_prob,
             "exact return probabilities up to a horizon",
         ),
         _Command(
             "ballot",
             (
-                _Opt("n", _parse_int("--n"), help="number of steps"),
-                _Opt("alpha", _parse_int("--alpha"), help="start level"),
-                _Opt("beta", _parse_int("--beta"), help="end level"),
+                _Opt("n", "int", lo=1, help="number of steps"),
+                _Opt("alpha", "int", help="start level"),
+                _Opt("beta", "int", help="end level"),
             ),
             _run_ballot,
             "path counts with and without a floor, and their inequality",
@@ -662,10 +567,9 @@ _COMMANDS = {
         _Command(
             "dominate",
             (
-                _Opt("mode", _parse_choice("--mode", ("upper", "lower")),
-                     help="which comparison bound to check"),
-                _Opt("n-max", _parse_int("--n-max"), help="check n = 1..n-max"),
-                _Opt("start", _parse_ints("--start"), default=None,
+                _Opt("mode", ("upper", "lower"), help="which comparison bound to check"),
+                _Opt("n-max", "int", lo=1, help="check n = 1..n-max"),
+                _Opt("start", "ints", default=None, lo=1,
                      help="start site for the lower bound (default all ones)"),
             ),
             _run_dominate,
@@ -674,9 +578,8 @@ _COMMANDS = {
         _Command(
             "rate-fn",
             (
-                _Opt("x", _parse_floats("--x"), default=None,
-                     help="single query point v1,...,vd"),
-                _Opt("grid", _parse_int("--grid"), default=None,
+                _Opt("x", "floats", default=None, help="single query point v1,...,vd"),
+                _Opt("grid", "int", default=None, lo=2,
                      help="steps per axis for a grid over [0,1]^d"),
             ),
             _run_rate_fn,
@@ -686,17 +589,16 @@ _COMMANDS = {
                  "deviation of the scaling-matrix factorization"),
         _Command(
             "path-rate",
-            (_Opt("path", _parse_str("--path"),
-                  help="JSON file of {t, phi} breakpoints"),),
+            (_Opt("path", "str", help="JSON file of {t, phi} breakpoints"),),
             _run_path_rate,
             "action of a piecewise linear scaled path",
         ),
         _Command(
             "ldp-consistency",
             (
-                _Opt("a", _parse_float("--a"), help="tail threshold in [0, 1]"),
-                _Opt("n-list", _parse_ints("--n-list"),
-                     help="horizons n1,n2,... to evaluate"),
+                _Opt("dim", "int", lo=1, hi=2, help="lattice dimension d, 1 or 2"),
+                _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"),
+                _N_LIST,
             ),
             _run_ldp_consistency,
             "exact tail rates against the limiting rate",
@@ -710,38 +612,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command in _COMMANDS.values():
         sp = sub.add_parser(command.name, help=command.help)
-        for opt in SHARED_OPTS + command.opts + PLUMBING_OPTS:
-            if opt.is_flag:
+        for opt in command.all_opts + PLUMBING_OPTS:
+            if opt.kind == "bool":
                 sp.add_argument(opt.flag, dest=opt.dest, action="store_const",
                                 const=True, default=None, help=opt.help)
             else:
                 sp.add_argument(opt.flag, dest=opt.dest, default=None,
                                 metavar="V", help=opt.help)
     return parser
-
-
-def _coerce_flag_values(command: _Command, args: argparse.Namespace) -> None:
-    # argparse collected raw strings; apply the same parsers used for the
-    # config file so both layers go through identical validation.
-    for opt in SHARED_OPTS + command.opts:
-        raw = getattr(args, opt.dest)
-        if raw is not None and not opt.is_flag:
-            setattr(args, opt.dest, opt.parse(raw))
-
-
-def _render_artifact(command: _Command, cfg: dict, payload: dict,
-                     csv_text: str) -> str:
-    echo = _echo(command, cfg)
-    if cfg["format"] == "json":
-        body = {"config": echo, **payload}
-        return json.dumps(_jsonable(body), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    comments = "".join(
-        f"# {key}={_config_comment_value(value)}\n"
-        for key, value in sorted(echo.items())
-        if value is not None
-    )
-    return comments + csv_text
 
 
 def main(argv=None) -> int:
@@ -751,14 +629,10 @@ def main(argv=None) -> int:
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")
         command = _COMMANDS[args.command]
-        _coerce_flag_values(command, args)
         cfg = _merge(command, args)
-        payload, csv_text, summary = command.run(cfg)
-        artifact = _render_artifact(command, cfg, payload, csv_text)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+        payload, header, rows, summary = command.run(cfg)
+        artifact = _render_artifact(command, cfg, payload, header, rows)
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ConvergenceError, ResourceBudgetError) as err:

@@ -1,22 +1,27 @@
 """Exact finite-horizon computations for the biased walk.
 
-Everything here is dynamic programming over the finite reachable set: after
+The laws come from dynamic programming over the finite reachable set: after
 n steps the walk started at x lives in a box of side O(n), so its law can be
-propagated exactly (up to double rounding) with no truncation.  Truncating
-would silently void the inequality checks, so none is performed; requests
-that would exceed the configured cell budget raise ResourceBudgetError
-instead.
+propagated exactly (up to double rounding) with no truncation.  The three
+propagators share one sweep, which differs only in its box ([0, x + n] for
+the reflected chain, [x - n, x + n] for the signed and drifted walks) and
+in its per-cell move probabilities, built from ``kernel.site_weight``.
+Truncating would silently void the inequality checks, so none is
+performed; requests that would exceed the configured cell budget raise
+ResourceBudgetError instead.
 
 The module provides
 
 - ``propagate``            exact law of the reflected chain on Z_+^d,
 - ``propagate_full``       exact law of the signed walk on Z^d,
 - ``propagate_drifted``    exact law of the free comparison walk Z,
-- ``enumerate_oracle``     rational-arithmetic path enumeration (ground
-                           truth for ``propagate`` at small n),
+- ``enumerate_oracle``     rational-arithmetic path enumeration with its
+                           own Fraction kernel (ground truth for the
+                           propagators at small n), and ``fold_to_orthant``
+                           to compare it with ``propagate``,
 - ``log_mgf``              Lambda_n(s, x) = ln E_x exp(sum_i s_i |X_n^i|),
-- ``return_probability``   P(X_{2n} = 0 | X_0 = 0) and an even-horizon
-                           profile of the same,
+- ``return_probability``   P(X_{2n} = 0 | X_0 = 0), and
+  ``return_probability_profile`` every even horizon of it from one sweep,
 - ``ballot_counts``        exact ballot-style path counts P and Q,
 - ``check_domination_*``   exhaustive verification that the drifted walk
                            dominates the biased walk from above, and from
@@ -25,20 +30,17 @@ The module provides
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, kappa
+from .kernel import ModelParams, State, kappa, site_weight
 
 SparseDistribution = dict[State, float]
 
@@ -108,38 +110,76 @@ def _evolve(
     return P
 
 
-def _reflected_weights(p: ModelParams, shape: tuple[int, ...]):
-    """Up/down move probabilities of the reflected chain on the index box
-    (index value == coordinate value)."""
-    zero_masks = [
-        _axis_view(np.arange(shape[i]) == 0, p.dim, i) for i in range(p.dim)
+def _reflected_weights(p: ModelParams, coords: list[np.ndarray]):
+    """Up/down move probabilities of the reflected chain on Z_+^d."""
+    zero = [c == 0 for c in coords]
+    big_d = site_weight(p, sum(zero))
+    w_down = (p.lam / big_d) if p.lam > 0.0 else None
+    return [(np.where(z, 2.0, 1.0) / big_d, w_down) for z in zero]
+
+
+def _signed_weights(p: ModelParams, coords: list[np.ndarray]):
+    """Up/down move probabilities of the signed walk on Z^d: +1 is inward
+    exactly when the coordinate is negative, -1 exactly when it is
+    positive."""
+    big_d = site_weight(p, sum(c == 0 for c in coords))
+    return [
+        (np.where(c < 0, p.lam, 1.0) / big_d, np.where(c > 0, p.lam, 1.0) / big_d)
+        for c in coords
     ]
-    kap = zero_masks[0].astype(np.int64)
-    for m in zero_masks[1:]:
-        kap = kap + m
-    big_d = p.dim + kap + p.lam * (p.dim - kap)
-    weights = []
-    for i in range(p.dim):
-        w_up = np.where(zero_masks[i], 2.0, 1.0) / big_d
-        w_down = (p.lam / big_d) if p.lam > 0.0 else None
-        weights.append((w_up, w_down))
-    return weights
 
 
-def _reflected_grid(
+def _drifted_weights(p: ModelParams, coords: list[np.ndarray]):
+    """Up/down move probabilities of the free comparison walk Z, the same
+    at every site."""
+    w_up = 1.0 / (p.dim * (1.0 + p.lam))
+    w_down = (p.lam / (p.dim * (1.0 + p.lam))) if p.lam > 0.0 else None
+    return [(w_up, w_down)] * p.dim
+
+
+def _sweep(
     p: ModelParams,
     start: State,
     n: int,
     max_cells: int,
+    weights: Callable,
+    *,
+    orthant: bool,
     snapshot: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    if len(start) != p.dim or any(c < 0 for c in start):
+) -> tuple[np.ndarray, State]:
+    """Propagate a point mass at start for n steps over the smallest box
+    holding the reachable set: [0, start + n] on the orthant, else
+    [start - n, start + n].  weights(p, coords) gives the per-axis move
+    probabilities from the coordinates of the box cells.  Returns the
+    final grid and the coordinates of its first cell."""
+    if len(start) != p.dim:
+        raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
+    if orthant and any(c < 0 for c in start):
         raise ValueError(f"start must lie in Z_+^{p.dim}, got {start}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    shape = tuple(c + n + 1 for c in start)
+    corner = (0,) * p.dim if orthant else tuple(c - n for c in start)
+    shape = tuple(c + n + 1 - lo for c, lo in zip(start, corner))
     _check_budget(shape, max_cells)
-    return _evolve(shape, start, _reflected_weights(p, shape), n, snapshot)
+    coords = [
+        _axis_view(lo + np.arange(k), p.dim, i)
+        for i, (lo, k) in enumerate(zip(corner, shape))
+    ]
+    at = tuple(c - lo for c, lo in zip(start, corner))
+    return _evolve(shape, at, weights(p, coords), n, snapshot), corner
+
+
+def _reflected_grid(p, start, n, max_cells, snapshot=None) -> np.ndarray:
+    return _sweep(p, start, n, max_cells, _reflected_weights, orthant=True,
+                  snapshot=snapshot)[0]
+
+
+def _law(grid: np.ndarray, corner: State) -> SparseDistribution:
+    """The nonzero cells of a grid, keyed by lattice site."""
+    return {
+        tuple(int(c) + lo for c, lo in zip(idx, corner)): float(grid[idx])
+        for idx in zip(*np.nonzero(grid))
+    }
 
 
 def propagate(
@@ -154,11 +194,7 @@ def propagate(
     Support is contained in {y in Z_+^d : sum(y) <= sum(start) + n, with
     sum(y) = sum(start) + n (mod 2)}; total mass is 1 up to rounding.
     """
-    grid = _reflected_grid(p, start, n, max_cells)
-    out: SparseDistribution = {}
-    for idx in zip(*np.nonzero(grid)):
-        out[tuple(int(c) for c in idx)] = float(grid[idx])
-    return out
+    return _law(*_sweep(p, start, n, max_cells, _reflected_weights, orthant=True))
 
 
 def propagate_full(
@@ -174,32 +210,7 @@ def propagate_full(
     reflected law by redistributing over sign patterns is wrong in general,
     so the full chain is propagated directly.
     """
-    if len(start) != p.dim:
-        raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    shape = tuple(2 * n + 1 for _ in range(p.dim))
-    _check_budget(shape, max_cells)
-    lo = [c - n for c in start]
-    coords = [
-        _axis_view(lo[i] + np.arange(shape[i]), p.dim, i) for i in range(p.dim)
-    ]
-    kap = (coords[0] == 0).astype(np.int64)
-    for c in coords[1:]:
-        kap = kap + (c == 0)
-    big_d = p.dim + kap + p.lam * (p.dim - kap)
-    weights = []
-    for i in range(p.dim):
-        # +1 is inward exactly when the coordinate is negative; -1 is inward
-        # exactly when it is positive.
-        w_up = np.where(coords[i] < 0, p.lam, 1.0) / big_d
-        w_down = np.where(coords[i] > 0, p.lam, 1.0) / big_d
-        weights.append((w_up, w_down))
-    grid = _evolve(shape, tuple(n for _ in start), weights, n)
-    out: SparseDistribution = {}
-    for idx in zip(*np.nonzero(grid)):
-        out[tuple(int(c) + lo[i] for i, c in enumerate(idx))] = float(grid[idx])
-    return out
+    return _law(*_sweep(p, start, n, max_cells, _signed_weights, orthant=False))
 
 
 def propagate_drifted(
@@ -214,21 +225,7 @@ def propagate_drifted(
     Z steps +e_i with probability 1/(d(1+lam)) and -e_i with probability
     lam/(d(1+lam)) regardless of position.
     """
-    if len(start) != p.dim:
-        raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    shape = tuple(2 * n + 1 for _ in range(p.dim))
-    _check_budget(shape, max_cells)
-    w_up = 1.0 / (p.dim * (1.0 + p.lam))
-    w_down = (p.lam / (p.dim * (1.0 + p.lam))) if p.lam > 0.0 else None
-    weights = [(w_up, w_down) for _ in range(p.dim)]
-    grid = _evolve(shape, tuple(n for _ in start), weights, n)
-    lo = [c - n for c in start]
-    out: SparseDistribution = {}
-    for idx in zip(*np.nonzero(grid)):
-        out[tuple(int(c) + lo[i] for i, c in enumerate(idx))] = float(grid[idx])
-    return out
+    return _law(*_sweep(p, start, n, max_cells, _drifted_weights, orthant=False))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +322,8 @@ def log_mgf(
     s = np.asarray(s, dtype=float)
     if s.shape != (p.dim,):
         raise ValueError(f"s must have shape ({p.dim},), got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"s must be finite, got {s.tolist()}")
     grid = _reflected_grid(p, start, n, max_cells)
     nz = np.nonzero(grid)
     terms = np.log(grid[nz])
@@ -508,27 +507,3 @@ def check_domination_lower(
     return DominationReport(
         mode="lower", n=n, cells_checked=len(cells), min_slack=worst
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def dump_distribution_csv(dist: SparseDistribution, dim: int, dest) -> None:
-    """Write a distribution as CSV (header x1,...,xd,prob), rows in
-    lexicographic coordinate order.  dest is a path or a text file object."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            dump_distribution_csv(dist, dim, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(dim)] + ["prob"])
-    for site in sorted(dist):
-        writer.writerow([*site, repr(dist[site])])
-
-
-def distribution_csv_text(dist: SparseDistribution, dim: int) -> str:
-    buf = io.StringIO()
-    dump_distribution_csv(dist, dim, buf)
-    return buf.getvalue()

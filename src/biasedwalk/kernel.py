@@ -74,9 +74,9 @@ def kappa(v: State) -> int:
     return sum(1 for c in v if c == 0)
 
 
-def _total_weight(p: ModelParams, kap: int) -> float:
+def site_weight(p: ModelParams, kap):
     """Normalising weight D = d + kappa + lam*(d - kappa) at a site with
-    kap zero coordinates."""
+    kap zero coordinates; kap may be an integer array."""
     return p.dim + kap + p.lam * (p.dim - kap)
 
 
@@ -89,7 +89,7 @@ def full_kernel(p: ModelParams, v: State) -> StepDistribution:
     """
     if len(v) != p.dim:
         raise ValueError(f"site has {len(v)} coordinates, expected {p.dim}")
-    big_d = _total_weight(p, kappa(v))
+    big_d = site_weight(p, kappa(v))
     dist: StepDistribution = {}
     for i in range(p.dim):
         for step in (-1, 1):
@@ -113,7 +113,7 @@ def reflected_kernel(p: ModelParams, y: State) -> StepDistribution:
         raise ValueError(f"site has {len(y)} coordinates, expected {p.dim}")
     if any(c < 0 for c in y):
         raise ValueError(f"reflected chain needs nonnegative coordinates, got {y}")
-    big_d = _total_weight(p, kappa(y))
+    big_d = site_weight(p, kappa(y))
     dist: StepDistribution = {}
     for i in range(p.dim):
         up = y[:i] + (y[i] + 1,) + y[i + 1 :]
@@ -135,7 +135,7 @@ def drift(p: ModelParams, y: State) -> np.ndarray:
         raise ValueError(f"site has {len(y)} coordinates, expected {p.dim}")
     if any(c < 0 for c in y):
         raise ValueError(f"drift is defined on Z_+^d, got {y}")
-    big_d = _total_weight(p, kappa(y))
+    big_d = site_weight(p, kappa(y))
     return np.array(
         [2.0 / big_d if c == 0 else (1.0 - p.lam) / big_d for c in y]
     )

@@ -40,7 +40,6 @@ its slopes.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -77,6 +76,8 @@ def log_psi(p: ModelParams, s) -> float:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (p.dim,):
         raise ValueError(f"s must have {p.dim} coordinates, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"s must be finite, got {s.tolist()}")
     d = p.dim
     log_lam = math.log(p.lam) if p.lam > 0 else -math.inf
     norm = math.log(d * (1.0 + p.lam))
@@ -143,17 +144,6 @@ class RateResult:
     domain_class: str
     iterations: int
     kkt_residual: float
-
-    def as_dict(self) -> dict:
-        out: dict = {
-            "value": self.value,
-            "argmax_s": None if self.argmax_s is None else list(self.argmax_s),
-            "at_infinity": self.at_infinity,
-            "domain_class": self.domain_class,
-            "iterations": self.iterations,
-            "kkt_residual": self.kkt_residual,
-        }
-        return out
 
 
 def _classify(p: ModelParams, x: np.ndarray) -> str:
@@ -467,9 +457,14 @@ def path_rate_functional(p: ModelParams, path: PiecewiseLinearPath) -> float:
     +inf as soon as one slope leaves the effective domain."""
     if path.dim != p.dim:
         raise ValueError(f"path has dimension {path.dim}, model has {p.dim}")
+    return _action(path, (rate_function(p, slope).value for slope in path.slopes()))
+
+
+def _action(path: PiecewiseLinearPath, rates) -> float:
+    """sum_k (t_{k+1} - t_k) * rates[k], +inf at the first infinite rate
+    (later rates are not drawn from the iterable)."""
     total = 0.0
-    for dt, slope in zip(path.durations(), path.slopes()):
-        piece = rate_function(p, slope).value
+    for dt, piece in zip(path.durations(), rates):
         if math.isinf(piece):
             return math.inf
         total += float(dt) * piece
@@ -561,21 +556,3 @@ def ldp_consistency(
         )
     return rows
 
-
-def dump_rate_grid_csv(p: ModelParams, points, dest) -> None:
-    """Evaluate the rate on a sequence of points and write CSV rows
-    x1,...,xd,rate,class,kkt_residual to a text stream."""
-    header = [f"x{i + 1}" for i in range(p.dim)] + ["rate", "class", "kkt_residual"]
-    dest.write(",".join(header) + "\n")
-    for point in points:
-        x = _coerce_point(p, point)
-        res = rate_function(p, x)
-        cells = [repr(float(c)) for c in x]
-        cells += [repr(res.value), res.domain_class, repr(res.kkt_residual)]
-        dest.write(",".join(cells) + "\n")
-
-
-def rate_grid_csv_text(p: ModelParams, points) -> str:
-    buf = io.StringIO()
-    dump_rate_grid_csv(p, points, buf)
-    return buf.getvalue()

@@ -39,12 +39,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State
+from .kernel import ModelParams, State, site_weight
 
 _GAMMA = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
@@ -208,8 +207,7 @@ class _Walk:
             self.history[0] = self.Y.T
         # Site weight D by number of zero coordinates, and the cell widths
         # off the hyperplanes.
-        kap = np.arange(d + 1)
-        self.site_weight = d + kap + self.lam * (d - kap)
+        self.site_weight = site_weight(p, np.arange(d + 1))
         self.far_widths = [self.lam, 1.0] * d
 
     def far_block(self, rows: np.ndarray, t0: int, k: int) -> None:
@@ -414,29 +412,3 @@ def boundary_visits(
     as n grows."""
     raw = _run(plan, keep_path=False, max_elements=max_elements)
     return dict(sorted(Counter(raw.visits.tolist()).items()))
-
-
-def dump_trajectory_csv(states: np.ndarray, dest) -> None:
-    """Write a trajectory as CSV with header step,x1,...,xd."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            dump_trajectory_csv(states, fh)
-        return
-    d = states.shape[1]
-    dest.write(",".join(["step"] + [f"x{i + 1}" for i in range(d)]) + "\n")
-    for k, row in enumerate(states):
-        dest.write(",".join([str(k)] + [str(int(c)) for c in row]) + "\n")
-
-
-def dump_trajectories_csv(states: np.ndarray, dest) -> None:
-    """Write a batch of trajectories in long format with header
-    path,step,x1,...,xd; states has shape (paths, steps+1, dim)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            dump_trajectories_csv(states, fh)
-        return
-    d = states.shape[2]
-    dest.write(",".join(["path", "step"] + [f"x{i + 1}" for i in range(d)]) + "\n")
-    for j, path in enumerate(states):
-        for k, row in enumerate(path):
-            dest.write(",".join([str(j), str(k)] + [str(int(c)) for c in row]) + "\n")

@@ -90,12 +90,28 @@ def test_no_subcommand_exits_one(capsys):
         (["dominate", "--dim", "1", "--lambda", "0.25", "--mode", "upper",
           "--n-max", "2", "--start", "1"], "--start"),
         (["rate-fn", "--dim", "2", "--lambda", "0.5", "--x", "nan,0.1"], "--x"),
+        (["mgf", "--dim", "2", "--lambda", "0.5", "--s", "nan,0.1",
+          "--n-list", "10"], "--s"),
+        (["speed", "--dim", "2", "--lambda", "0.5", "--steps", "0"], "--steps"),
+        (["speed", "--dim", "2", "--lambda", "0.5", "--paths", "0"], "--paths"),
+        (["simulate", "--dim", "2", "--lambda", "0.5", "--seed",
+          "99999999999999999999999"], "--seed"),
+        (["ballot", "--dim", "1", "--lambda", "0.5", "--n", "0", "--alpha", "0",
+          "--beta", "0"], "--n"),
+        (["ldp-consistency", "--dim", "1", "--lambda", "0.5", "--a", "nan",
+          "--n-list", "10"], "--a"),
+        (["ldp-consistency", "--dim", "3", "--lambda", "0.5", "--a", "0.5",
+          "--n-list", "10"], "--dim"),
+        (["dominate", "--dim", "2", "--lambda", "0.5", "--mode", "lower",
+          "--n-max", "2", "--start", "0,1"], "--start"),
     ],
 )
 def test_domain_errors_name_the_flag(argv, flag, capsys):
-    code, _, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
-    assert flag in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag + " " in err
 
 
 def test_resource_budget_exits_two(capsys):
@@ -262,6 +278,20 @@ def test_simulate_summary_payload_keys(capsys):
     assert sum(body["boundary_visits"].values()) == 6
 
 
+def test_trajectories_csv_dump(capsys):
+    code, out, _ = run_cli(
+        ["simulate", "--dim", "1", "--lambda", "0", "--steps", "2", "--paths", "2",
+         "--seed", "3", "--dump-trajectories", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "path,step,x1"
+    assert lines[1] == "0,0,0"
+    assert lines[4] == "1,0,0"
+    assert len(lines) == 7
+
+
 def test_simulate_trajectory_dump(capsys):
     code, out, _ = run_cli(
         ["simulate", "--dim", "2", "--lambda", "0.5", "--steps", "10",
@@ -392,3 +422,31 @@ def test_rate_fn_grid_csv_shape(capsys):
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "x1,rate,class,kkt_residual"
     assert len(lines) == 6
+
+
+def _rate_csv_lines(argv, capsys):
+    code, out, _ = run_cli(["rate-fn", *argv, "--format", "csv"], capsys)
+    assert code == 0
+    return [l for l in out.splitlines() if not l.startswith("#")]
+
+
+def test_rate_grid_csv_layout(capsys):
+    lines = {
+        x: _rate_csv_lines(["--dim", "1", "--lambda", "0.25", "--x", x], capsys)
+        for x in ("0", "0.6", "1.0", "1.2")
+    }
+    assert all(rows[0] == "x1,rate,class,kkt_residual" for rows in lines.values())
+    assert lines["0"][1] == "0.0,0.22314355131420976,coordinate_boundary,0.0"
+    assert lines["1.0"][1] == "1.0,0.2231435513142097,simplex_boundary,nan"
+    assert lines["1.2"][1] == "1.2,inf,outside,nan"
+    cells = lines["0.6"][1].split(",")
+    assert cells[0] == "0.6" and cells[2] == "interior"
+    assert float(cells[1]) == 0.0 and float(cells[3]) <= 1e-10
+
+
+def test_rate_grid_csv_d2_shape(capsys):
+    inside = _rate_csv_lines(["--dim", "2", "--lambda", "0.5", "--x", "0.1,0.2"], capsys)
+    outside = _rate_csv_lines(["--dim", "2", "--lambda", "0.5", "--x", "0.9,0.9"], capsys)
+    assert inside[0] == outside[0] == "x1,x2,rate,class,kkt_residual"
+    assert len(inside) == len(outside) == 2
+    assert outside[1].split(",")[3] == "outside"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from fractions import Fraction
@@ -17,8 +16,6 @@ from biasedwalk.exact import (
     ballot_counts,
     check_domination_lower,
     check_domination_upper,
-    distribution_csv_text,
-    dump_distribution_csv,
     enumerate_oracle,
     fold_to_orthant,
     log_mgf,
@@ -190,6 +187,12 @@ def test_log_mgf_no_overflow_large_tilt():
     assert val > 500  # dominated by the ballistic corner e^{2*~n}
 
 
+@pytest.mark.parametrize("s", [[math.nan, 0.1], [0.2, math.inf], [-math.inf, 0.0]])
+def test_log_mgf_rejects_non_finite_tilt(s):
+    with pytest.raises(ValueError, match="finite"):
+        log_mgf(ModelParams(2, 0.5), (0, 0), 10, s)
+
+
 def test_log_mgf_convergence_checkpoint():
     # (1/2n)*Lambda_{2n}(s,0) at s=1 within 0.02 of ln psi at 2n=500
     p = ModelParams(1, 0.25)
@@ -351,18 +354,3 @@ def test_domination_validation():
     d = report.as_dict()
     assert set(d) == {"mode", "n", "cells_checked", "max_violation"}
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_distribution_csv():
-    dist = propagate(ModelParams(2, 0.5), (0, 0), 1)
-    text = distribution_csv_text(dist, 2)
-    lines = text.splitlines()
-    assert lines[0] == "x1,x2,prob"
-    assert lines[1].startswith("0,1,") and lines[2].startswith("1,0,")
-    buf = io.StringIO()
-    dump_distribution_csv(dist, 2, buf)
-    assert buf.getvalue() == text

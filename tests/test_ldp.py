@@ -4,7 +4,6 @@ path action, and the exact tail-rate comparison."""
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -71,6 +70,13 @@ def test_log_psi_no_overflow_for_large_tilt():
 def test_psi_rejects_wrong_shape():
     with pytest.raises(ValueError):
         ldp.log_psi(ModelParams(2, 0.5), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("s", [[math.nan, 0.1], [0.2, math.inf], [-math.inf, 0.0]])
+def test_log_psi_rejects_non_finite_tilt(s):
+    # NaN would pass through logaddexp as a NaN limit and an exit-0 artifact
+    with pytest.raises(ValueError, match="finite"):
+        ldp.log_psi(ModelParams(2, 0.5), s)
 
 
 @given(
@@ -563,29 +569,3 @@ def test_consistency_row_dict_keys():
         "gap",
     ]
 
-
-# ---------------------------------------------------------------------------
-# grid serialization
-# ---------------------------------------------------------------------------
-
-
-def test_rate_grid_csv_layout():
-    text = ldp.rate_grid_csv_text(P1, [[0.0], [0.6], [1.0], [1.2]])
-    lines = text.splitlines()
-    assert lines[0] == "x1,rate,class,kkt_residual"
-    assert lines[1] == "0.0,0.22314355131420976,coordinate_boundary,0.0"
-    assert lines[3] == "1.0,0.2231435513142097,simplex_boundary,nan"
-    assert lines[4] == "1.2,inf,outside,nan"
-    cells = lines[2].split(",")
-    assert cells[0] == "0.6" and cells[2] == "interior"
-    assert float(cells[1]) == 0.0 and float(cells[3]) <= 1e-10
-
-
-def test_rate_grid_csv_d2_shape():
-    buf = io.StringIO()
-    pts = [[0.1, 0.2], [0.9, 0.9]]
-    ldp.dump_rate_grid_csv(ModelParams(2, 0.5), pts, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "x1,x2,rate,class,kkt_residual"
-    assert len(lines) == 3
-    assert lines[2].split(",")[3] == "outside"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 
@@ -16,8 +15,6 @@ from biasedwalk.exact import propagate
 from biasedwalk.simulate import (
     SimPlan,
     boundary_visits,
-    dump_trajectories_csv,
-    dump_trajectory_csv,
     martingale_diagnostic,
     simulate_batch,
     trajectories,
@@ -288,16 +285,6 @@ def test_plan_validation():
         simulate_batch(SimPlan(ModelParams(2, 0.5), (0, 0), 0, 2))
 
 
-def test_trajectory_csv_dump():
-    states = trajectory(SimPlan(ModelParams(2, 0.0), (0, 0), 2, 1, seed=1))
-    buf = io.StringIO()
-    dump_trajectory_csv(states, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "step,x1,x2"
-    assert len(lines) == 4
-    assert lines[1] == "0,0,0"
-
-
 def test_trajectories_consistent_with_batch_and_single_path():
     plan = SimPlan(ModelParams(2, 0.5), (0, 0), 25, 6, seed=9)
     paths = trajectories(plan)
@@ -315,17 +302,6 @@ def test_trajectories_consistent_with_batch_and_single_path():
             step = tuple(b - a for a, b in zip(src, dst))
             kern_moves.add((sum(abs(c) for c in step), max(map(abs, step))))
     assert kern_moves == {(1, 1)}
-
-
-def test_trajectories_csv_dump():
-    paths = trajectories(SimPlan(ModelParams(1, 0.0), (0,), 2, 2, seed=3))
-    buf = io.StringIO()
-    dump_trajectories_csv(paths, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "path,step,x1"
-    assert lines[1] == "0,0,0"
-    assert lines[4] == "1,0,0"
-    assert len(lines) == 7
 
 
 def test_trajectories_history_budget():
