@@ -283,6 +283,8 @@ def _run_simulate(cfg: dict):
                 for k, site in enumerate(path))
         summary = f"simulate: dumped {plan.paths} trajectories of {plan.steps} steps"
         return {"trajectories": states}, header, rows, summary
+    if plan.steps < 1:
+        raise CliError(f"--steps must be at least 1 for batch statistics, got {plan.steps}")
     batch = simulate.simulate_batch(plan)
     histogram = dict(sorted(Counter(batch.boundary_visit_counts.tolist()).items()))
     payload = {

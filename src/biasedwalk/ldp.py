@@ -555,4 +555,3 @@ def ldp_consistency(
             )
         )
     return rows
-

@@ -94,6 +94,7 @@ def test_no_subcommand_exits_one(capsys):
           "--n-list", "10"], "--s"),
         (["speed", "--dim", "2", "--lambda", "0.5", "--steps", "0"], "--steps"),
         (["speed", "--dim", "2", "--lambda", "0.5", "--paths", "0"], "--paths"),
+        (["simulate", "--dim", "2", "--lambda", "0.5", "--steps", "0"], "--steps"),
         (["simulate", "--dim", "2", "--lambda", "0.5", "--seed",
           "99999999999999999999999"], "--seed"),
         (["ballot", "--dim", "1", "--lambda", "0.5", "--n", "0", "--alpha", "0",

@@ -353,4 +353,3 @@ def test_domination_validation():
     report = check_domination_upper(ModelParams(2, 0.5), 3)
     d = report.as_dict()
     assert set(d) == {"mode", "n", "cells_checked", "max_violation"}
-

@@ -119,7 +119,7 @@ CASES: dict[str, list[str]] = {
     "err-config-missing": ["matrix-check", "--config", "absent.cfg"],
     "err-path-missing": _model("path-rate", 1, "0.25") + ["--path", "absent.json"],
     "err-path-dim": _model("path-rate", 2, "0.5") + ["--path", "path1.json"],
-    # exit 1 with messages that do not name their flag yet
+    # exit 1: range errors, whose wording is not pinned (UNPINNED_MESSAGES)
     "err-seed-negative": _model("speed", 2, "0.5") + ["--seed", "-1"],
     "err-seed-huge": _model("simulate", 2, "0.5") + ["--seed", "99999999999999999999999"],
     "err-steps-zero": _model("speed", 2, "0.5") + ["--steps", "0"],

@@ -568,4 +568,3 @@ def test_consistency_row_dict_keys():
         "limit_rate",
         "gap",
     ]
-
