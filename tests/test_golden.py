@@ -88,6 +88,14 @@ CASES: dict[str, list[str]] = {
             + ["--a", "0.9", "--n-list", "40,20"]),
     **_both("ldp-consistency-d2", _model("ldp-consistency", 2, "0.5")
             + ["--a", "0.4", "--n-list", "10,20"]),
+    # larger exact sweeps: d=3, and d=2 horizons far past the support's start
+    **_both("mgf-d3", _model("mgf", 3, "0.4") + ["--s", "0.3,-0.2,0.1", "--n-list", "20,40"]),
+    **_both("mgf-d2-long", _model("mgf", 2, "0.3") + ["--s=-0.4,0.6", "--n-list", "60,120"]),
+    **_both("return-prob-d3", _model("return-prob", 3, "0.5") + ["--n-max", "30"]),
+    **_both("dominate-upper-d3", _model("dominate", 3, "0.5")
+            + ["--mode", "upper", "--n-max", "6"]),
+    **_both("dominate-lower-d3", _model("dominate", 3, "0.5")
+            + ["--mode", "lower", "--n-max", "6"]),
     # the config layer: file values, a flag that overrides one, unknown keys
     "config-boundary": ["boundary", "--config", "run.cfg", "--paths", "4"],
     "config-dump": ["simulate", "--config", "dump.cfg"],
