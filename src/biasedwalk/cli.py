@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a token such as -0.5,0.1 or -.5 is a (list) value, not an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad arguments; route through the
     # package's own error path (status 1) instead.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -637,7 +643,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ConvergenceError, ResourceBudgetError) as err:
+    except (ConvergenceError, ResourceBudgetError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if cfg["out"] is not None:

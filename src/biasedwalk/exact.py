@@ -6,9 +6,11 @@ propagated exactly (up to double rounding) with no truncation.  The three
 propagators share one sweep, which differs only in its box ([0, x + n] for
 the reflected chain, [x - n, x + n] for the signed and drifted walks) and
 in its per-cell move probabilities, built from ``kernel.site_weight``.
+Step k updates only the support box, the part of that box within k of x
+in every coordinate, and gives the same bits as updating the whole box.
 Truncating would silently void the inequality checks, so none is
-performed; requests that would exceed the configured cell budget raise
-ResourceBudgetError instead.
+performed; requests whose whole box would exceed the configured cell
+budget raise ResourceBudgetError instead, before any step.
 
 The module provides
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -77,37 +79,55 @@ def _evolve(
     start_idx: tuple[int, ...],
     axis_weights: list[tuple[object, object]],
     n: int,
-    snapshot: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
+    snapshot: Callable[[int, np.ndarray, tuple[int, ...]], None] | None = None,
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Push a point mass through n steps of a nearest-neighbour kernel.
 
     axis_weights[i] = (w_up, w_down): per-cell probability of moving +1 / -1
     along axis i, evaluated at the source cell.  Entries may be scalars,
-    broadcastable arrays, or None (no such move).  The box must contain the
-    n-step reachable set; the slicing below never wraps mass around.
+    arrays broadcastable to shape, or None (no such move).  A move out of
+    the box is dropped, so the box must contain the n-step reachable set.
+
+    Only the support box [lo, hi) is swept: it starts at the start cell
+    and grows by one cell per axis per step, clipped to the box.  Each cell
+    gets the same products, added in the same order, as in a sweep of the
+    whole box; the terms skipped are exact zeros, so the values are
+    bit-identical to it.  Returns the support array and lo; snapshot(k,
+    support, lo) sees every step's array, which later steps overwrite.
     """
     dim = len(shape)
-    P = np.zeros(shape)
-    P[start_idx] = 1.0
+    size = math.prod(shape)
+    buffers, scratch = (np.empty(size), np.empty(size)), np.empty(size)
+    moves = [(i, step, np.broadcast_to(w, shape))
+             for i, pair in enumerate(axis_weights)
+             for step, w in zip((1, -1), pair) if w is not None]
+    whole = (slice(None),) * dim
+    lo, hi = list(start_idx), [c + 1 for c in start_idx]
+    P = buffers[0][:1].reshape((1,) * dim)
+    P.fill(1.0)
     if snapshot is not None:
-        snapshot(0, P)
-
-    def sl(axis: int, s: slice) -> tuple:
-        return tuple(s if j == axis else slice(None) for j in range(dim))
-
+        snapshot(0, P, tuple(lo))
     for k in range(1, n + 1):
-        new = np.zeros_like(P)
-        for i, (w_up, w_down) in enumerate(axis_weights):
-            if w_up is not None:
-                src = P * w_up
-                new[sl(i, slice(1, None))] += src[sl(i, slice(0, -1))]
-            if w_down is not None:
-                src = P * w_down
-                new[sl(i, slice(0, -1))] += src[sl(i, slice(1, None))]
-        P = new
+        new_lo = [max(a - 1, 0) for a in lo]
+        new_hi = [min(b + 1, s) for b, s in zip(hi, shape)]
+        new_shape = tuple(b - a for a, b in zip(new_lo, new_hi))
+        new = buffers[k % 2][:math.prod(new_shape)].reshape(new_shape)
+        new.fill(0.0)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        held = tuple(slice(a - c, b - c) for a, b, c in zip(lo, hi, new_lo))
+        term = scratch[:P.size].reshape(P.shape)
+        for i, step, w in moves:
+            # the sources along axis i whose target lies inside the box
+            a, b = max(lo[i], int(step < 0)), min(hi[i], shape[i] - int(step > 0))
+            if a < b:
+                np.multiply(P, w[box], out=term)
+                src = whole[:i] + (slice(a - lo[i], b - lo[i]),)
+                dst = slice(a + step - new_lo[i], b + step - new_lo[i])
+                new[held[:i] + (dst,) + held[i + 1:]] += term[src]
+        P, lo, hi = new, new_lo, new_hi
         if snapshot is not None:
-            snapshot(k, P)
-    return P
+            snapshot(k, P, tuple(lo))
+    return P, tuple(lo)
 
 
 def _reflected_weights(p: ModelParams, coords: list[np.ndarray]):
@@ -145,13 +165,14 @@ def _sweep(
     weights: Callable,
     *,
     orthant: bool,
-    snapshot: Callable[[int, np.ndarray], None] | None = None,
+    snapshot: Callable[[int, np.ndarray, tuple[int, ...]], None] | None = None,
 ) -> tuple[np.ndarray, State]:
-    """Propagate a point mass at start for n steps over the smallest box
+    """Propagate a point mass at start for n steps inside the smallest box
     holding the reachable set: [0, start + n] on the orthant, else
     [start - n, start + n].  weights(p, coords) gives the per-axis move
-    probabilities from the coordinates of the box cells.  Returns the
-    final grid and the coordinates of its first cell."""
+    probabilities from the coordinates of the box cells.  The cell budget
+    counts the whole box, though only the support is swept (see _evolve).
+    Returns the final support array and the site of its first cell."""
     if len(start) != p.dim:
         raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
     if orthant and any(c < 0 for c in start):
@@ -166,20 +187,18 @@ def _sweep(
         for i, (lo, k) in enumerate(zip(corner, shape))
     ]
     at = tuple(c - lo for c, lo in zip(start, corner))
-    return _evolve(shape, at, weights(p, coords), n, snapshot), corner
+    grid, lo = _evolve(shape, at, weights(p, coords), n, snapshot)
+    return grid, tuple(a + b for a, b in zip(corner, lo))
 
 
-def _reflected_grid(p, start, n, max_cells, snapshot=None) -> np.ndarray:
-    return _sweep(p, start, n, max_cells, _reflected_weights, orthant=True,
-                  snapshot=snapshot)[0]
+_reflected = partial(_sweep, weights=_reflected_weights, orthant=True)
 
 
 def _law(grid: np.ndarray, corner: State) -> SparseDistribution:
     """The nonzero cells of a grid, keyed by lattice site."""
-    return {
-        tuple(int(c) + lo for c, lo in zip(idx, corner)): float(grid[idx])
-        for idx in zip(*np.nonzero(grid))
-    }
+    idx = np.nonzero(grid)
+    sites = zip(*((i + lo).tolist() for i, lo in zip(idx, corner)))
+    return dict(zip(sites, grid[idx].tolist()))
 
 
 def propagate(
@@ -194,7 +213,7 @@ def propagate(
     Support is contained in {y in Z_+^d : sum(y) <= sum(start) + n, with
     sum(y) = sum(start) + n (mod 2)}; total mass is 1 up to rounding.
     """
-    return _law(*_sweep(p, start, n, max_cells, _reflected_weights, orthant=True))
+    return _law(*_reflected(p, start, n, max_cells))
 
 
 def propagate_full(
@@ -324,12 +343,16 @@ def log_mgf(
         raise ValueError(f"s must have shape ({p.dim},), got {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError(f"s must be finite, got {s.tolist()}")
-    grid = _reflected_grid(p, start, n, max_cells)
+    grid, corner = _reflected(p, start, n, max_cells)
     nz = np.nonzero(grid)
     terms = np.log(grid[nz])
-    for i in range(p.dim):
-        terms = terms + s[i] * nz[i]
-    return float(logsumexp(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p.dim):
+            terms = terms + s[i] * (nz[i] + corner[i])
+        value = float(logsumexp(terms))
+    if not math.isfinite(value):
+        raise OverflowError(f"Lambda_{n}(s) for s={s.tolist()} is beyond double range")
+    return value
 
 
 def return_probability(
@@ -346,8 +369,8 @@ def return_probability(
     if horizon < 0 or horizon % 2:
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
     origin = (0,) * p.dim
-    grid = _reflected_grid(p, origin, horizon, max_cells)
-    return float(grid[origin])
+    # a sweep from the origin keeps the origin as its support's first cell
+    return float(_reflected(p, origin, horizon, max_cells)[0][origin])
 
 
 def return_probability_profile(
@@ -363,11 +386,11 @@ def return_probability_profile(
     origin = (0,) * p.dim
     out: list[tuple[int, float]] = []
 
-    def snap(k: int, grid: np.ndarray) -> None:
+    def snap(k: int, grid: np.ndarray, lo: State) -> None:
         if k % 2 == 0:
             out.append((k, float(grid[origin])))
 
-    _reflected_grid(p, origin, max_horizon, max_cells, snapshot=snap)
+    _reflected(p, origin, max_horizon, max_cells, snapshot=snap)
     return out
 
 

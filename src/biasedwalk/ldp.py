@@ -83,7 +83,8 @@ def log_psi(p: ModelParams, s) -> float:
     norm = math.log(d * (1.0 + p.lam))
     # Per-coordinate summand of psi, in logs.  Below the kink the summand
     # is the constant rho/d; at s_i = s0 both branches agree (= rho/d).
-    smooth = np.logaddexp(log_lam - s, s) - norm
+    with np.errstate(over="ignore"):  # logaddexp's x - y, not its value
+        smooth = np.logaddexp(log_lam - s, s) - norm
     if p.lam > 0:
         flat = math.log(p.rho / d)
         terms = np.where(s < p.s0, flat, smooth)
@@ -528,22 +529,30 @@ def ldp_consistency(
     horizon.
 
     For each n the tail probability P(|X_n^1| >= a*n) comes from the exact
-    law of the reflected chain started at the origin; the integer cutoff
-    is ceil(a*n) with a tiny guard so that thresholds that are exact
-    integers in real arithmetic are not pushed up by float noise.
+    law of the reflected chain started at the origin, read off one sweep to
+    the largest horizon; the integer cutoff is ceil(a*n) with a tiny guard
+    so that thresholds that are exact integers in real arithmetic are not
+    pushed up by float noise.
     """
     if p.dim not in (1, 2):
         raise ValueError("consistency tables are limited to dim 1 and 2")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold a must lie in [0, 1], got {a!r}")
+    horizons = sorted(int(n) for n in n_values)
+    if horizons and horizons[0] < 1:
+        raise ValueError("horizons must be positive")
     limit = _halfspace_infimum(p, a)
+    tails: dict[int, float] = {}
+
+    def snap(k: int, grid: np.ndarray, lo) -> None:
+        # the support of a sweep from the origin starts at the origin
+        if k in horizons:
+            tails[k] = math.fsum(grid[math.ceil(a * k - 1e-9):].flat)
+
+    exact._reflected(p, (0,) * p.dim, max(horizons, default=0), max_cells, snapshot=snap)
     rows = []
-    for n in sorted(int(n) for n in n_values):
-        if n < 1:
-            raise ValueError("horizons must be positive")
-        cutoff = math.ceil(a * n - 1e-9)
-        dist = exact.propagate(p, (0,) * p.dim, n, max_cells=max_cells)
-        tail = math.fsum(q for site, q in dist.items() if site[0] >= cutoff)
+    for n in horizons:
+        tail = tails[n]
         rate = math.inf if tail == 0.0 else -math.log(tail) / n
         rows.append(
             ConsistencyRow(

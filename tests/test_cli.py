@@ -115,6 +115,37 @@ def test_domain_errors_name_the_flag(argv, flag, capsys):
     assert flag + " " in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["mgf", "--dim", "2", "--lambda", "0.5", "--n-list", "4"], "--s", "-0.5,0.1"),
+        (["rate-fn", "--dim", "2", "--lambda", "0.5"], "--x", "-.25,0.5"),
+        (["simulate", "--dim", "2", "--lambda", "0.5", "--steps", "5", "--paths", "2"],
+         "--start", "-1,0"),
+    ],
+)
+def test_negative_list_value_may_follow_its_flag(argv, flag, value, capsys):
+    # "--s -0.5,0.1" must mean what "--s=-0.5,0.1" means
+    spaced = run_cli(argv + [flag, value], capsys)
+    joined = run_cli(argv + [f"{flag}={value}"], capsys)
+    assert spaced == joined
+    code, out, err = spaced
+    assert err.count("\n") == 1 and "expected one argument" not in err
+    if code != 0:
+        assert code == 1 and out == "" and flag + " " in err
+
+
+def test_mgf_beyond_double_range_exits_two(capsys):
+    code, out, err = run_cli(
+        ["mgf", "--dim", "2", "--lambda", "0.5", "--s", "1e308,0.1", "--n-list", "4"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "double range" in err
+
+
 def test_resource_budget_exits_two(capsys):
     # the two dimensional grid at this horizon exceeds the cell budget
     code, _, err = run_cli(

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from biasedwalk import ModelParams, ResourceBudgetError
+from biasedwalk import ModelParams, ResourceBudgetError, exact
 from biasedwalk.exact import (
     BallotCount,
     ballot_counts,
@@ -112,6 +114,111 @@ def test_propagate_budget():
         propagate(ModelParams(3, 0.5), (0, 0, 0), 500)
 
 
+# Reference for exact._evolve: the full-box sweep, which updates the whole
+# box at every step with 2d temporaries.
+def _reference_evolve(shape, start_idx, axis_weights, n, snapshot=None):
+    """Push a point mass through n steps of a nearest-neighbour kernel.
+
+    axis_weights[i] = (w_up, w_down): per-cell probability of moving +1 / -1
+    along axis i, evaluated at the source cell.  Entries may be scalars,
+    broadcastable arrays, or None (no such move).  The box must contain the
+    n-step reachable set; the slicing below never wraps mass around.
+    """
+    dim = len(shape)
+    P = np.zeros(shape)
+    P[start_idx] = 1.0
+    if snapshot is not None:
+        snapshot(0, P)
+
+    def sl(axis: int, s: slice) -> tuple:
+        return tuple(s if j == axis else slice(None) for j in range(dim))
+
+    for k in range(1, n + 1):
+        new = np.zeros_like(P)
+        for i, (w_up, w_down) in enumerate(axis_weights):
+            if w_up is not None:
+                src = P * w_up
+                new[sl(i, slice(1, None))] += src[sl(i, slice(0, -1))]
+            if w_down is not None:
+                src = P * w_down
+                new[sl(i, slice(0, -1))] += src[sl(i, slice(1, None))]
+        P = new
+        if snapshot is not None:
+            snapshot(k, P)
+    return P
+
+
+_FAMILIES = {
+    "reflected": (exact._reflected_weights, True),
+    "signed": (exact._signed_weights, False),
+    "drifted": (exact._drifted_weights, False),
+}
+
+
+def _placed(shape, grid, lo):
+    """A support array written into a zero grid of the whole box."""
+    full = np.zeros(shape)
+    full[tuple(slice(a, a + k) for a, k in zip(lo, grid.shape))] = grid
+    return full
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    lam=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    data=st.data(),
+    n=st.integers(0, 25),
+    family=st.sampled_from(sorted(_FAMILIES)),
+)
+def test_support_sweep_matches_full_box_reference(d, lam, data, n, family):
+    # Starts on and off the faces.  The box is the one exact._sweep builds,
+    # or, to reach the clip at its far edge, that box cut short by up to two
+    # cells per axis, so that mass runs out of it in both sweeps alike.
+    # Every snapshot and the final grid must equal the reference bit for bit.
+    start = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    cut = data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    p = ModelParams(d, lam)
+    weights, orthant = _FAMILIES[family]
+    corner = (0,) * d if orthant else tuple(c - n for c in start)
+    at = tuple(c - lo for c, lo in zip(start, corner))
+    shape = tuple(max(a + 1, a + n + 1 - c) for a, c in zip(at, cut))
+    coords = [exact._axis_view(lo + np.arange(k), d, i)
+              for i, (lo, k) in enumerate(zip(corner, shape))]
+    axis_weights = weights(p, coords)
+    expected = []
+    final = _reference_evolve(shape, at, axis_weights, n,
+                              lambda k, grid: expected.append(grid.copy()))
+    seen = []
+    grid, lo = exact._evolve(shape, at, axis_weights, n,
+                             lambda k, grid, lo: seen.append(_placed(shape, grid, lo)))
+    assert len(seen) == len(expected) == n + 1
+    for k, (got, want) in enumerate(zip(seen, expected)):
+        assert np.array_equal(got, want), k
+    assert np.array_equal(_placed(shape, grid, lo), final)
+
+
+@pytest.mark.parametrize("sweep, start, cells", [
+    (propagate, (2, 0), 8 * 6),
+    (propagate_full, (2, 0), 11 * 11),
+    (propagate_drifted, (1, 1), 11 * 11),
+])
+def test_budget_counts_the_full_box_before_sweeping(sweep, start, cells, monkeypatch):
+    # the support is far smaller than the box for most of the sweep, but
+    # the budget still counts the box, and is checked before any step
+    p = ModelParams(2, 0.5)
+    assert sweep(p, start, 5, max_cells=cells)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a request over budget")
+
+    monkeypatch.setattr(exact, "_evolve", no_sweep)
+    with pytest.raises(ResourceBudgetError):
+        sweep(p, start, 5, max_cells=cells - 1)
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle
 # ---------------------------------------------------------------------------
@@ -191,6 +298,17 @@ def test_log_mgf_no_overflow_large_tilt():
 def test_log_mgf_rejects_non_finite_tilt(s):
     with pytest.raises(ValueError, match="finite"):
         log_mgf(ModelParams(2, 0.5), (0, 0), 10, s)
+
+
+def test_log_mgf_beyond_double_range_raises_overflow():
+    p = ModelParams(2, 0.5)
+    with pytest.raises(OverflowError):
+        log_mgf(p, (0, 0), 4, [1e308, 0.1])
+    # a huge negative tilt only drops the terms off the face y_1 = 0
+    dist = propagate(p, (0, 0), 4)
+    kept = [math.log(q) + 0.1 * y[1] for y, q in dist.items() if y[0] == 0]
+    assert math.isclose(log_mgf(p, (0, 0), 4, [-1e308, 0.1]), logsumexp(kept),
+                        rel_tol=1e-15)
 
 
 def test_log_mgf_convergence_checkpoint():

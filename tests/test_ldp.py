@@ -79,6 +79,16 @@ def test_log_psi_rejects_non_finite_tilt(s):
         ldp.log_psi(ModelParams(2, 0.5), s)
 
 
+def test_log_psi_at_huge_tilts_is_finite_and_quiet():
+    # logaddexp forms x - y = -2e308 internally; its value is still exact,
+    # and under the suite's warning filter any overflow warning would fail
+    p = ModelParams(2, 0.5)
+    assert ldp.log_psi(p, [1e308, 0.1]) == 1e308
+    assert ldp.log_psi(p, [-1e308, 0.1]) == ldp.log_psi(p, [-50.0, 0.1])
+    q = ModelParams(2, 0.0)
+    assert ldp.log_psi(q, [-1e308, 0.1]) == pytest.approx(0.1 - math.log(2), rel=1e-15)
+
+
 @given(
     d=st.integers(1, 4),
     lam=st.floats(0.01, 0.95),
