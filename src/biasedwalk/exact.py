@@ -172,7 +172,8 @@ def _sweep(
     [start - n, start + n].  weights(p, coords) gives the per-axis move
     probabilities from the coordinates of the box cells.  The cell budget
     counts the whole box, though only the support is swept (see _evolve).
-    Returns the final support array and the site of its first cell."""
+    Returns the final support array and the site of its first cell; the lo
+    passed to snapshot is a box index, which on the orthant is the site."""
     if len(start) != p.dim:
         raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
     if orthant and any(c < 0 for c in start):
