@@ -13,9 +13,9 @@ Four layers are provided:
   functions, return probabilities, ballot-style path counts, and
   stochastic-domination checks.
 - ``ldp``: the limiting scaled cumulant generating function, its Legendre
-  transform (the large-deviation rate function) by projected Newton plus
-  closed forms in low dimension, the diffusive covariance structure, and
-  path-space rate functionals.
+  transform (the large-deviation rate function) through one scalar root
+  plus closed forms in low dimension, the diffusive covariance structure,
+  and path-space rate functionals.
 
 ``cli`` exposes all of it as the ``biasedwalk`` command.
 """

@@ -25,15 +25,12 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-# Without a bytecode cache, compiling simulate after ldp has loaded
-# scipy.optimize would add the compiler's working memory to the process's
-# peak resident size; compiled first, that memory is reused by the import.
-from . import exact, simulate, ldp
+from . import exact, ldp, simulate
 from .errors import ConvergenceError, ResourceBudgetError
 from .kernel import ModelParams
 
@@ -419,7 +416,7 @@ def _run_dominate(cfg: dict):
         else exact.check_domination_lower(p, _start(cfg, (1,) * p.dim), n)
         for n in range(1, cfg["n_max"] + 1)
     ]
-    records = [r.as_dict() for r in reports]
+    records = [{k: v for k, v in asdict(r).items() if v is not None} for r in reports]
     if upper:
         header = ["n", "cells_checked", "max_violation"]
         worst = max(r.max_violation for r in reports)
@@ -515,7 +512,7 @@ def _run_path_rate(cfg: dict):
 def _run_ldp_consistency(cfg: dict):
     p = _require_transform_params(cfg, "ldp-consistency")
     rows = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
-    records = [r.as_dict() for r in rows]
+    records = [asdict(r) for r in rows]
     header = ["n", "tail_prob", "empirical_rate", "limit_rate", "gap"]
     last = rows[-1]
     summary = (

@@ -346,11 +346,19 @@ def log_mgf(
         raise ValueError(f"s must be finite, got {s.tolist()}")
     grid, corner = _reflected(p, start, n, max_cells)
     nz = np.nonzero(grid)
-    terms = np.log(grid[nz])
+    cells = [nz[i] + corner[i] for i in range(p.dim)]
+    logs = np.log(grid[nz])
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = logs
         for i in range(p.dim):
-            terms = terms + s[i] * (nz[i] + corner[i])
+            terms = terms + s[i] * cells[i]
         value = float(logsumexp(terms))
+        if not math.isfinite(value):
+            # the products s_i y_i overflowed, perhaps in opposite directions:
+            # sum the tilt scaled by max |s_i| first, then scale back
+            top = float(np.max(np.abs(s)))
+            dot = sum((s[i] / top) * cells[i] for i in range(p.dim))
+            value = float(logsumexp(logs + top * dot))
     if not math.isfinite(value):
         raise OverflowError(f"Lambda_{n}(s) for s={s.tolist()} is beyond double range")
     return value
@@ -473,14 +481,6 @@ class DominationReport:
     cells_checked: int
     max_violation: float | None = None
     min_slack: float | None = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"mode": self.mode, "n": self.n, "cells_checked": self.cells_checked}
-        if self.max_violation is not None:
-            out["max_violation"] = self.max_violation
-        if self.min_slack is not None:
-            out["min_slack"] = self.min_slack
-        return out
 
 
 def _orthant_cells(dists: Iterable[SparseDistribution]) -> set[State]:

@@ -14,20 +14,26 @@ psi(s) = psi(max(s, s0)) componentwise, so the Fenchel-Legendre transform
     rate(x) = sup_s { <s, x> - ln psi(s) }
 
 may be computed over the closed orthant {s : s_i >= s0}, where psi is
-smooth, log-convex and increasing in every coordinate.  On that orthant
-the supremum is a concave maximization solved here by a projected Newton
-iteration (bisection in one dimension); a coordinate i with x_i = 0 pins
-s_i = s0 because the partial derivative of the objective there is exactly
-x_i.
+smooth, log-convex and increasing in every coordinate.  Writing
+s_i = s0 + t_i there gives psi(s) = (rho/d) * sum_i cosh(t_i), and the
+stationarity x_i = sinh(t_i) / sum_j cosh(t_j) reduces, with
+u = 1 / sum_j cosh(t_j), to one lam-free scalar equation
+
+    sum_i r_i = 1,    r_i = sqrt(x_i^2 + u^2),
+
+whose left side is convex and increasing in u; Newton's method from u = 1
+falls monotonically onto its root.  The maximizer is then
+s_i = s0 + ln((x_i + r_i)/u), so a coordinate with x_i = 0 sits at the
+kink s0, and
+
+    rate(x) = (|x|/2) ln(lam) - ln(rho) + ln(d) + (1 - |x|) ln(u)
+              + sum_i x_i ln(x_i + r_i),        |x| = sum_i x_i.
 
 The transform is finite on {x >= 0, sum(x) <= 1} for lam > 0 and on the
 probability simplex {x >= 0, sum(x) = 1} for lam = 0.  On the face
 sum(x) = 1 the supremum is approached only as s -> +infinity along the
-diagonal, with the closed limit
-
-    rate(x) = (1/2) ln(lam) - ln(rho) + ln(2d) + sum_{x_i > 0} x_i ln(x_i),
-
-which specializes to ln(1 + lam) at the one-dimensional endpoint x = 1.
+diagonal; its value is the same expression at u = 0, which specializes to
+ln(1 + lam) at the one-dimensional endpoint x = 1.
 
 Closed forms are provided for d = 1, d = 2 (lam in (0,1)) and for lam = 0
 in any dimension; everywhere else the numerical transform is the source
@@ -45,20 +51,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, xlogy
 
 from . import exact
 from .errors import ConvergenceError
 from .kernel import ModelParams
 
-# Stationarity tolerance and iteration budgets of the conjugate solver.
-KKT_TOL = 1e-10
+# Newton steps allowed on the scalar root of the conjugate.
 MAX_ITERATIONS = 100
-MAX_BACKTRACKS = 40
 
-# Coordinates within this distance of 0, and totals within this distance
-# of 1, are snapped onto the respective face before classification.
+# Coordinates within this distance of 0 are snapped onto their face before
+# classification; a point whose total is within it of 1 is then rescaled
+# onto the face sum(x) = 1.
 SIMPLEX_TOL = 1e-12
 
 
@@ -133,8 +137,8 @@ class RateResult:
         domain_class: 'interior', 'coordinate_boundary' (some x_i = 0,
             total below 1), 'simplex_boundary' (sum(x) = 1, which for
             lam = 0 is the whole effective domain), or 'outside'.
-        iterations: optimizer steps consumed (0 when a closed form or a
-            pinned-only configuration decides the value).
+        iterations: Newton steps taken on the scalar root u (0 on the face
+            sum(x) = 1, at lam = 0 and outside the domain).
         kkt_residual: max norm of the stationarity residual at argmax_s;
             NaN when there is no finite maximizer.
     """
@@ -160,13 +164,6 @@ def _classify(p: ModelParams, x: np.ndarray) -> str:
     if np.any(x == 0.0):
         return "coordinate_boundary"
     return "interior"
-
-
-def _simplex_face_value(p: ModelParams, x: np.ndarray) -> float:
-    # Limit of <s,x> - ln psi(s) as s -> +infinity along the diagonal,
-    # restricted to the face sum(x) = 1.
-    entropy = float(np.sum(xlogy(x, np.where(x > 0.0, x, 1.0))))
-    return 0.5 * math.log(p.lam) - math.log(p.rho) + math.log(2 * p.dim) + entropy
 
 
 def _rate_lam0(p: ModelParams, x: np.ndarray) -> RateResult:
@@ -196,99 +193,20 @@ def _rate_lam0(p: ModelParams, x: np.ndarray) -> RateResult:
     )
 
 
-def _solve_bisection(p: ModelParams, x: float) -> tuple[float, int]:
-    # Scalar stationarity x = h'(s)/h(s) with h(s) = lam*exp(-s) + exp(s);
-    # the ratio increases from 0 at s0 to 1, so the residual brackets a
-    # unique root for x in (0, 1).
-    lam = p.lam
-
-    def residual(s: float) -> float:
-        up, down = math.exp(s), lam * math.exp(-s)
-        return x - (up - down) / (up + down)
-
-    lo, hi, steps = p.s0, p.s0 + 1.0, 0
-    while residual(hi) > 0.0:
-        lo, hi = hi, hi + 2.0 * (hi - p.s0)
-        steps += 1
-        if steps > MAX_ITERATIONS:
-            raise ConvergenceError("bisection bracket search exhausted its budget")
-    mid = 0.5 * (lo + hi)
-    for used in range(1, MAX_ITERATIONS + 1):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= KKT_TOL:
-            return mid, used
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
+def _dual_root(x: np.ndarray) -> tuple[float, int]:
+    # Root u of f(u) = sum_i sqrt(x_i^2 + u^2) - 1 for 0 <= x, sum(x) < 1.
+    # f is convex and increasing with f(1) >= 0, so Newton steps from u = 1
+    # decrease monotonically onto the root; the first step that no longer
+    # decreases u marks the rounding floor.
+    u = 1.0
+    for used in range(MAX_ITERATIONS + 1):
+        r = np.hypot(x, u)
+        nxt = u - (float(r.sum()) - 1.0) / (u * float(np.sum(1.0 / r)))
+        if not nxt < u:
+            return u, used
+        u = nxt
     raise ConvergenceError(
-        f"bisection stalled at residual {residual(mid):.3e} > {KKT_TOL:.1e}"
-    )
-
-
-def _solve_newton(
-    p: ModelParams, x: np.ndarray, free: np.ndarray
-) -> tuple[np.ndarray, int]:
-    # Maximize g(t) = <x_free, t> - ln H(t) over t >= s0, where H is the
-    # sum of the smooth per-coordinate terms h(t_j) plus the constant
-    # contribution rho/d of every pinned coordinate.  h'' = h, so the
-    # Hessian of -g is diag(h_j/H) - q q^T with q_j = h'(t_j)/H, positive
-    # definite whenever lam > 0.
-    lam, d = p.lam, p.dim
-    norm = d * (1.0 + lam)
-    base = (d - int(free.sum())) * p.rho / d
-    xf = x[free]
-
-    def parts(t: np.ndarray):
-        with np.errstate(over="ignore"):
-            up = np.exp(t) / norm
-            down = lam * np.exp(-t) / norm
-            big_h = base + float(np.sum(up + down))
-        return up, down, big_h
-
-    def objective(t: np.ndarray) -> float:
-        _, _, big_h = parts(t)
-        return float(xf @ t) - math.log(big_h)
-
-    t = np.zeros(xf.size)
-    for used in range(1, MAX_ITERATIONS + 1):
-        up, down, big_h = parts(t)
-        grad = xf - (up - down) / big_h
-        if float(np.max(np.abs(grad))) <= KKT_TOL:
-            return t, used - 1
-        q = (up - down) / big_h
-        hess = np.diag((up + down) / big_h) - np.outer(q, q)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            # with lam below the rounding resolution of h the Hessian can
-            # be exactly singular
-            raise ConvergenceError(
-                "projected Newton met a singular Hessian: lam is too small "
-                "for the curvature to be resolved"
-            ) from None
-        g0 = objective(t)
-        predicted = float(grad @ step)
-        # Inside the quadratic-convergence phase the per-step gain drops
-        # below the rounding resolution of the objective, so a sufficient
-        # increase can no longer be measured; the raw (projected) Newton
-        # step is safe there.
-        if predicted <= 1e-13 * (1.0 + abs(g0)) and float(np.max(np.abs(step))) <= 1.0:
-            t = np.maximum(t + step, p.s0)
-            continue
-        alpha = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = np.maximum(t + alpha * step, p.s0)
-            gain = float(grad @ (cand - t))
-            if objective(cand) >= g0 + 1e-4 * gain:
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError("line search exhausted its backtracking budget")
-        t = cand
-    raise ConvergenceError(
-        f"projected Newton stalled above the {KKT_TOL:.1e} stationarity tolerance"
+        f"Newton on the dual root did not settle within {MAX_ITERATIONS} steps"
     )
 
 
@@ -313,40 +231,39 @@ def rate_function(p: ModelParams, x) -> RateResult:
             iterations=0,
             kkt_residual=math.nan,
         )
+    face = domain_class == "simplex_boundary"
+    if face:
+        x /= x.sum()
     if p.lam == 0.0:
         return _rate_lam0(p, x)
-    if domain_class == "simplex_boundary":
+
+    # The face is the same expression at u = 0 and |x| = 1, where the term
+    # (1 - |x|) ln u vanishes and the maximizer diverges.
+    u, iterations = (0.0, 0) if face else _dual_root(x)
+    total = 1.0 if face else float(x.sum())
+    r = np.hypot(x, u)
+    value = max(0.0, (
+        0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(p.dim)
+        + float(xlogy(1.0 - total, u)) + float(np.sum(xlogy(x, x + r)))
+    ))
+    if face:
         return RateResult(
-            value=max(0.0, _simplex_face_value(p, x)),
+            value=value,
             argmax_s=None,
             at_infinity=True,
-            domain_class="simplex_boundary",
+            domain_class=domain_class,
             iterations=0,
             kkt_residual=math.nan,
         )
-
-    # Interior of the domain in the total-mass direction: the maximizer is
-    # finite, with s_i pinned at the kink exactly on {i : x_i = 0}.
-    free = x > 0.0
-    s_star = np.full(p.dim, p.s0)
-    iterations = 0
-    if free.any():
-        if p.dim == 1:
-            root, iterations = _solve_bisection(p, float(x[0]))
-            s_star[0] = root
-        else:
-            t, iterations = _solve_newton(p, x, free)
-            s_star[free] = t
-    log_h = log_psi(p, s_star)
-    value = float(x @ s_star) - log_h
-    # Stationarity residual; pinned coordinates contribute exactly
-    # x_i = 0 because h'(s0) = 0.
+    s_star = p.s0 + np.log((x + r) / u)
+    # Stationarity residual at the maximizer; a coordinate at the kink
+    # contributes exactly x_i = 0 because h'(s0) = 0.
     norm = p.dim * (1.0 + p.lam)
     up = np.exp(s_star) / norm
     down = p.lam * np.exp(-s_star) / norm
-    grad = x - (up - down) / math.exp(log_h)
+    grad = x - (up - down) / math.exp(log_psi(p, s_star))
     return RateResult(
-        value=max(0.0, value),
+        value=value,
         argmax_s=tuple(float(c) for c in s_star),
         at_infinity=False,
         domain_class=domain_class,
@@ -385,9 +302,11 @@ def rate_closed_form(p: ModelParams, x) -> float:
             raise ValueError("d=2 closed form needs x >= 0 with sum(x) < 1")
         x1, x2 = float(x[0]), float(x[1])
         a = x1 * x1 - x2 * x2
-        # den^2 factors as (1 - (x1+x2)^2)(1 - (x1-x2)^2) > 0 on the
-        # open domain.
-        den = math.sqrt(a * a + 1.0 - 2.0 * (x1 * x1 + x2 * x2))
+        # den^2 = a^2 + 1 - 2(x1^2 + x2^2), taken in its factored form
+        # (1 - (x1+x2)^2)(1 - (x1-x2)^2), which is positive on the open
+        # domain and does not cancel near the corners of the face.
+        plus, minus = x1 + x2, x1 - x2
+        den = math.sqrt((1.0 - plus) * (1.0 + plus) * (1.0 - minus) * (1.0 + minus))
         bar = (
             float(xlogy(x1, (1.0 + a + 2.0 * x1) / den))
             + float(xlogy(x2, (1.0 - a + 2.0 * x2) / den))
@@ -484,38 +403,24 @@ class ConsistencyRow:
     limit_rate: float
     gap: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tail_prob": self.tail_prob,
-            "empirical_rate": self.empirical_rate,
-            "limit_rate": self.limit_rate,
-            "gap": self.gap,
-        }
-
 
 def _halfspace_infimum(p: ModelParams, a: float) -> float:
     # inf of the rate over the closed set {x : x_1 >= a}.  Below the speed
-    # the infimum is 0 at x = v; above it convexity puts the minimizer on
-    # the face x_1 = a.
+    # the infimum is 0 at x = v.  Above it, by the contraction principle,
+    # it is the rate of the first coordinate alone,
+    # sup_s { a*s - ln psi(s, 0, ..., 0) }, whose stationarity in z = e^s
+    # is (1 - a) z^2 - a(d-1)(1+lam) z - lam(1+a) = 0.  At a = 1 that
+    # quadratic degenerates and the infimum sits at the face point e_1.
     v1 = float(p.speed[0])
     if a <= v1 + 1e-15:
         return 0.0
-    if p.dim == 1:
-        return rate_function(p, [a]).value
-    width = 1.0 - a
-
-    def on_face(x2: float) -> float:
-        return rate_function(p, [a, x2]).value
-
-    best = min(on_face(0.0), on_face(width) if width > 0.0 else math.inf)
-    if width > 0.0:
-        res = minimize_scalar(
-            on_face, bounds=(0.0, width), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        best = min(best, float(res.fun))
-    return best
+    if a >= 1.0:
+        return rate_function(p, np.eye(p.dim)[0]).value
+    b = a * (p.dim - 1) * (1.0 + p.lam)
+    # sqrt(4 lam (1-a)(1+a)), split so a subnormal lam keeps its digits
+    c = 2.0 * math.sqrt((1.0 - a) * (1.0 + a)) * math.sqrt(p.lam)
+    s = math.log((b + math.hypot(b, c)) / (2.0 * (1.0 - a)))
+    return max(0.0, a * s - log_psi(p, [s] + [0.0] * (p.dim - 1)))
 
 
 def ldp_consistency(
@@ -534,8 +439,6 @@ def ldp_consistency(
     so that thresholds that are exact integers in real arithmetic are not
     pushed up by float noise.
     """
-    if p.dim not in (1, 2):
-        raise ValueError("consistency tables are limited to dim 1 and 2")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold a must lie in [0, 1], got {a!r}")
     horizons = sorted(int(n) for n in n_values)

@@ -6,9 +6,14 @@ exit status, the artifact (stdout or --out file), and the summary line.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biasedwalk
 from biasedwalk import cli, exact, ldp
 from biasedwalk.kernel import ModelParams
 
@@ -166,17 +171,17 @@ def test_convergence_failure_exits_two(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
-def test_tiny_lambda_rate_fails_as_numerical_error(capsys):
-    # lam = 1e-300 is below the resolution of the Newton Hessian: that is a
-    # numerical failure (exit 2), not an argument error (exit 1).
+@pytest.mark.parametrize("lam", ["1e-300", "5e-324"])
+def test_tiny_lambda_rate_matches_closed_form(lam, capsys):
+    # the scalar root does not involve lambda, so a lambda far below the
+    # rounding resolution of 1 + lambda still gives the closed-form rate
     code, out, err = run_cli(
-        ["rate-fn", "--dim", "2", "--lambda", "1e-300", "--x", "0.2,0.3"], capsys
+        ["rate-fn", "--dim", "2", "--lambda", lam, "--x", "0.2,0.3"], capsys
     )
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "Traceback" not in err
+    assert code == 0
+    value = json.loads(out)["value"]
+    expect = ldp.rate_closed_form(ModelParams(2, float(lam)), [0.2, 0.3])
+    assert value == pytest.approx(expect, rel=1e-12)
 
 
 def test_rate_fn_needs_exactly_one_of_x_and_grid(capsys):
@@ -468,7 +473,7 @@ def test_rate_grid_csv_layout(capsys):
         for x in ("0", "0.6", "1.0", "1.2")
     }
     assert all(rows[0] == "x1,rate,class,kkt_residual" for rows in lines.values())
-    assert lines["0"][1] == "0.0,0.22314355131420976,coordinate_boundary,0.0"
+    assert lines["0"][1] == "0.0,0.2231435513142097,coordinate_boundary,0.0"
     assert lines["1.0"][1] == "1.0,0.2231435513142097,simplex_boundary,nan"
     assert lines["1.2"][1] == "1.2,inf,outside,nan"
     cells = lines["0.6"][1].split(",")
@@ -482,3 +487,18 @@ def test_rate_grid_csv_d2_shape(capsys):
     assert inside[0] == outside[0] == "x1,x2,rate,class,kkt_residual"
     assert len(inside) == len(outside) == 2
     assert outside[1].split(",")[3] == "outside"
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # the rate function needs no general-purpose optimizer; a fresh
+    # interpreter shows whether one crept back into the import graph
+    env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
+    probe = "import sys, biasedwalk.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from biasedwalk import ModelParams, ResourceBudgetError, exact
+from biasedwalk import ModelParams, ResourceBudgetError, cli, exact
 from biasedwalk.exact import (
     BallotCount,
     ballot_counts,
@@ -311,6 +312,14 @@ def test_log_mgf_beyond_double_range_raises_overflow():
                         rel_tol=1e-15)
 
 
+def test_log_mgf_opposite_overflowing_products_cancel():
+    # s_1 y_1 overflows to +inf and s_2 y_2 to -inf, yet s.y is finite
+    p = ModelParams(2, 0.5)
+    assert log_mgf(p, (2, 2), 0, [1e308, -1e308]) == 0.0
+    assert log_mgf(p, (2, 3), 0, [1e308, -1e308]) == -1e308
+    assert log_mgf(p, (2, 2), 1, [1e308, -1e308]) == 1e308
+
+
 def test_log_mgf_convergence_checkpoint():
     # (1/2n)*Lambda_{2n}(s,0) at s=1 within 0.02 of ln psi at 2n=500
     p = ModelParams(1, 0.25)
@@ -465,9 +474,12 @@ def test_domination_lower_sweep_small():
                 assert report.min_slack >= -1e-12
 
 
-def test_domination_validation():
+def test_domination_validation(capsys):
     with pytest.raises(ValueError):
         check_domination_lower(ModelParams(2, 0.5), (0, 1), 3)
-    report = check_domination_upper(ModelParams(2, 0.5), 3)
-    d = report.as_dict()
-    assert set(d) == {"mode", "n", "cells_checked", "max_violation"}
+    # each CLI record carries the one bound its mode checks
+    for mode, bound in (("upper", "max_violation"), ("lower", "min_slack")):
+        argv = ["dominate", "--dim", "2", "--lambda", "0.5", "--mode", mode, "--n-max", "3"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(set(row) == {"mode", "n", "cells_checked", bound} for row in rows)

@@ -4,14 +4,18 @@ path action, and the exact tail-rate comparison."""
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
 
-from biasedwalk import ldp
+from biasedwalk import cli, ldp
 from biasedwalk.errors import ConvergenceError
 from biasedwalk.kernel import ModelParams
 
@@ -564,17 +568,293 @@ def test_consistency_validation():
     with pytest.raises(ValueError):
         ldp.ldp_consistency(P1, -0.1, [10])
     with pytest.raises(ValueError):
-        ldp.ldp_consistency(ModelParams(3, 0.5), 0.9, [10])
-    with pytest.raises(ValueError):
         ldp.ldp_consistency(P1, 0.9, [0])
 
 
-def test_consistency_row_dict_keys():
-    row = ldp.ldp_consistency(P1, 0.9, [50])[0]
-    assert list(row.as_dict()) == [
-        "n",
-        "tail_prob",
-        "empirical_rate",
-        "limit_rate",
-        "gap",
-    ]
+def test_consistency_row_dict_keys(capsys):
+    argv = ["ldp-consistency", "--dim", "1", "--lambda", "0.25", "--a", "0.9",
+            "--n-list", "50"]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert list(row) == sorted(["n", "tail_prob", "empirical_rate", "limit_rate", "gap"])
+    direct = ldp.ldp_consistency(P1, 0.9, [50])[0]
+    assert row == {key: getattr(direct, key) for key in row}
+
+
+def test_consistency_beyond_two_dimensions():
+    rows = ldp.ldp_consistency(ModelParams(3, 0.5), 0.5, [10, 20])
+    assert [r.n for r in rows] == [10, 20]
+    for r in rows:
+        assert all(math.isfinite(v) for v in (r.tail_prob, r.empirical_rate,
+                                              r.limit_rate, r.gap))
+        assert r.limit_rate > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the scalar dual root against the earlier solvers
+# ---------------------------------------------------------------------------
+
+# The projected Newton / bisection solver that the scalar dual root
+# replaced, kept as a reference: it evaluates the objective at a feasible
+# tilt, so its value bounds the supremum from below wherever it converges.
+_KKT_TOL = 1e-10
+_MAX_ITERATIONS = 100
+_MAX_BACKTRACKS = 40
+
+
+def _solve_bisection(p: ModelParams, x: float) -> tuple[float, int]:
+    lam = p.lam
+
+    def residual(s: float) -> float:
+        up, down = math.exp(s), lam * math.exp(-s)
+        return x - (up - down) / (up + down)
+
+    lo, hi, steps = p.s0, p.s0 + 1.0, 0
+    while residual(hi) > 0.0:
+        lo, hi = hi, hi + 2.0 * (hi - p.s0)
+        steps += 1
+        if steps > _MAX_ITERATIONS:
+            raise ConvergenceError("bisection bracket search exhausted its budget")
+    mid = 0.5 * (lo + hi)
+    for used in range(1, _MAX_ITERATIONS + 1):
+        mid = 0.5 * (lo + hi)
+        r = residual(mid)
+        if abs(r) <= _KKT_TOL:
+            return mid, used
+        if r > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(
+        f"bisection stalled at residual {residual(mid):.3e} > {_KKT_TOL:.1e}"
+    )
+
+
+def _solve_newton(
+    p: ModelParams, x: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, int]:
+    lam, d = p.lam, p.dim
+    norm = d * (1.0 + lam)
+    base = (d - int(free.sum())) * p.rho / d
+    xf = x[free]
+
+    def parts(t: np.ndarray):
+        with np.errstate(over="ignore"):
+            up = np.exp(t) / norm
+            down = lam * np.exp(-t) / norm
+            big_h = base + float(np.sum(up + down))
+        return up, down, big_h
+
+    def objective(t: np.ndarray) -> float:
+        _, _, big_h = parts(t)
+        return float(xf @ t) - math.log(big_h)
+
+    t = np.zeros(xf.size)
+    for used in range(1, _MAX_ITERATIONS + 1):
+        up, down, big_h = parts(t)
+        grad = xf - (up - down) / big_h
+        if float(np.max(np.abs(grad))) <= _KKT_TOL:
+            return t, used - 1
+        q = (up - down) / big_h
+        hess = np.diag((up + down) / big_h) - np.outer(q, q)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError("projected Newton met a singular Hessian") from None
+        g0 = objective(t)
+        predicted = float(grad @ step)
+        if predicted <= 1e-13 * (1.0 + abs(g0)) and float(np.max(np.abs(step))) <= 1.0:
+            t = np.maximum(t + step, p.s0)
+            continue
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACKS + 1):
+            cand = np.maximum(t + alpha * step, p.s0)
+            gain = float(grad @ (cand - t))
+            if objective(cand) >= g0 + 1e-4 * gain:
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("line search exhausted its backtracking budget")
+        t = cand
+    raise ConvergenceError(
+        f"projected Newton stalled above the {_KKT_TOL:.1e} stationarity tolerance"
+    )
+
+
+def _reference_rate(p: ModelParams, x) -> float:
+    """The rate as the earlier solver computed it; raises ConvergenceError
+    where that solver fails."""
+    x = ldp._coerce_point(p, x).copy()
+    x[np.abs(x) <= ldp.SIMPLEX_TOL] = 0.0
+    domain_class = ldp._classify(p, x)
+    if domain_class == "outside":
+        return math.inf
+    if p.lam == 0.0:
+        return ldp._rate_lam0(p, x).value
+    if domain_class == "simplex_boundary":
+        entropy = float(np.sum(xlogy(x, np.where(x > 0.0, x, 1.0))))
+        face = 0.5 * math.log(p.lam) - math.log(p.rho) + math.log(2 * p.dim) + entropy
+        return max(0.0, face)
+    free = x > 0.0
+    s_star = np.full(p.dim, p.s0)
+    if free.any():
+        if p.dim == 1:
+            s_star[0] = _solve_bisection(p, float(x[0]))[0]
+        else:
+            s_star[free] = _solve_newton(p, x, free)[0]
+    return max(0.0, float(x @ s_star) - ldp.log_psi(p, s_star))
+
+
+def _reference_halfspace(p: ModelParams, a: float) -> float:
+    """inf of the reference rate over {x_1 >= a} by a bounded scalar search
+    along the face x_1 = a (d <= 2)."""
+    if a <= float(p.speed[0]) + 1e-15:
+        return 0.0
+    if p.dim == 1:
+        return _reference_rate(p, [a])
+    width = 1.0 - a
+
+    def on_face(x2: float) -> float:
+        return _reference_rate(p, [a, x2])
+
+    best = min(on_face(0.0), on_face(width) if width > 0.0 else math.inf)
+    if width > 0.0:
+        res = minimize_scalar(
+            on_face, bounds=(0.0, width), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        best = min(best, float(res.fun))
+    return best
+
+
+LAMBDAS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+# totals of |x|: anywhere inside, on the face |x| = 1, just inside it, and
+# just or far outside it
+TOTALS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, 12).map(lambda k: 1.0 - 10.0**-k),
+    st.sampled_from([1.0, 1.0 - 1.5e-7, 1.0 - 2e-12, 1.0 + 1e-9, 1.5]),
+)
+# coordinate weights: on a coordinate face, within or just past the snap
+# tolerance of one, or well inside
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]),
+    st.floats(1e-6, 1.0),
+)
+
+
+@st.composite
+def rate_queries(draw):
+    d = draw(st.integers(1, 6))
+    lam = draw(LAMBDAS)
+    assume(not (d == 1 and lam == 0.0))
+    w = np.array(draw(st.lists(WEIGHTS, min_size=d, max_size=d)))
+    x = w / w.sum() * draw(TOTALS) if w.sum() > 0.0 else w
+    return ModelParams(d, lam), x, draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _objective(p: ModelParams, s: np.ndarray, x: np.ndarray) -> float:
+    """<s, x> - ln psi(s), written in t = s - s0 for lam > 0: with
+    psi = (rho/d) sum cosh(t_i) and ln(rho) = ln 2 + s0 - ln(1 + lam) the
+    terms of size |s0| cancel in closed form, not in rounding."""
+    if p.lam == 0.0:
+        return float(s @ x) - ldp.log_psi(p, s)
+    t = np.maximum(s - p.s0, 0.0)
+    return (float(t @ x) + p.s0 * (float(x.sum()) - 1.0) + math.log1p(p.lam)
+            - math.log(2.0) + math.log(p.dim) - math.log(float(np.sum(np.cosh(t)))))
+
+
+@given(rate_queries())
+@settings(max_examples=600, deadline=None)
+def test_scalar_root_against_reference_and_closed_form(query):
+    p, x, bad = query
+    with pytest.raises(ValueError, match="finite"):
+        ldp.rate_function(p, np.where(np.arange(p.dim) == 0, bad, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ldp.rate_function(p, x)
+    snapped = np.where(np.abs(x) <= ldp.SIMPLEX_TOL, 0.0, x)
+    total = float(snapped.sum())
+    inside = bool(np.all(snapped >= 0.0)) and (
+        abs(total - 1.0) <= ldp.SIMPLEX_TOL if p.lam == 0.0
+        else total <= 1.0 + ldp.SIMPLEX_TOL
+    )
+    # (d) no silent numbers: non-finite input raises (above), the value is
+    # finite and >= 0 inside the domain and +inf outside, with no warning
+    if not inside:
+        assert res.value == math.inf and res.domain_class == "outside"
+        return
+    assert math.isfinite(res.value) and res.value >= 0.0
+    # a total within tolerance of 1 is rescaled onto the face |x| = 1
+    on_face = abs(total - 1.0) <= ldp.SIMPLEX_TOL
+    point = snapped / total if on_face else snapped
+    if on_face:
+        # the face has closed formulas, old and new alike
+        ref = _reference_rate(p, point)
+        assert abs(res.value - ref) <= 1e-13 * (1.0 + abs(ref))
+    else:
+        # (a) where the reference solver converges its value is attained
+        # at a feasible tilt, so it bounds the supremum from below
+        try:
+            ref = _reference_rate(p, x)
+        except ConvergenceError:
+            ref = None
+        if ref is not None:
+            assert res.value >= ref - 1e-13 * (1.0 + abs(ref))
+    # (b) the value is the objective at the returned maximizer
+    if res.argmax_s is not None:
+        s = np.asarray(res.argmax_s)
+        attained = _objective(p, s, point)
+        assert abs(res.value - max(0.0, attained)) <= 1e-13 * (1.0 + abs(res.value))
+        assert res.kkt_residual <= 1e-12
+    # (c) the closed forms, away from the face |x| = 1
+    if p.dim <= 2 and p.lam > 0.0 and total <= 1.0 - 1e-6:
+        closed = ldp.rate_closed_form(p, snapped)
+        assert abs(res.value - closed) <= 1e-12 * (1.0 + abs(closed))
+
+
+@given(
+    d=st.integers(1, 2),
+    lam=st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+    frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_halfspace_infimum_matches_face_search(d, lam, frac):
+    assume(not (d == 1 and lam == 0.0))
+    p = ModelParams(d, lam)
+    v1 = float(p.speed[0])
+    a = v1 + frac * (1.0 - v1)
+    limit = ldp._halfspace_infimum(p, a)
+    ref = _reference_halfspace(p, a)
+    assert abs(limit - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+@given(
+    lam=st.one_of(st.just(1e-300), st.floats(1e-6, 0.99)),
+    frac=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_halfspace_infimum_d3_is_rate_at_tilted_mean(lam, frac, seed):
+    p = ModelParams(3, lam)
+    v1 = float(p.speed[0])
+    a = v1 + frac * (1.0 - v1)
+    limit = ldp._halfspace_infimum(p, a)
+    # the maximizing tilt (ln z, 0, 0) of a*s - ln psi(s, 0, 0) and the
+    # mean x* it tilts the walk to, which sits on the face x_1 = a
+    b = 2.0 * a * (1.0 + lam)
+    z = (b + math.sqrt(b * b + 4.0 * (1.0 - a) * lam * (1.0 + a))) / (2.0 * (1.0 - a))
+    tilt = [math.log(z), 0.0, 0.0]
+    scale = 3.0 * (1.0 + lam) * ldp.psi(p, tilt)
+    x_star = np.array([z - lam / z, 1.0 - lam, 1.0 - lam]) / scale
+    assert x_star[0] == pytest.approx(a, rel=1e-12)
+    at_star = ldp.rate_function(p, x_star).value
+    assert abs(limit - at_star) <= 1e-12 * (1.0 + abs(limit))
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        rest = rng.random(2) + 1e-3
+        rest *= (1.0 - a) * rng.random() / rest.sum()
+        assert limit <= ldp.rate_function(p, [a, *rest]).value + 1e-12
