@@ -77,6 +77,8 @@ CASES: dict[str, list[str]] = {
     **_both("rate-x1.2", _model("rate-fn", 1, "0.25") + ["--x", "1.2"]),
     **_both("rate-x-d2", _model("rate-fn", 2, "0.5") + ["--x", "0.2,0.3"]),
     **_both("rate-x-lam0", _model("rate-fn", 2, "0") + ["--x", "0.25,0.75"]),
+    # a lambda far below the rounding resolution of 1 + lambda
+    "rate-x-tiny-lambda": _model("rate-fn", 2, "1e-300") + ["--x", "0.2,0.3"],
     **_both("rate-grid-d2", _model("rate-fn", 2, "0.5") + ["--grid", "4"]),
     **_both("rate-grid-d3", _model("rate-fn", 3, "0.4") + ["--grid", "3"]),
     **_both("matrix-check", _model("matrix-check", 3, "0.5")),
@@ -147,7 +149,6 @@ CASES: dict[str, list[str]] = {
     "err-x-nan": _model("rate-fn", 2, "0.5") + ["--x", "nan,0.1"],
     # exit 2: numerical and budget failures
     "err-budget": _model("mgf", 2, "0.5") + ["--s", "0.1,0.1", "--n-list", "2000"],
-    "err-singular": _model("rate-fn", 2, "1e-300") + ["--x", "0.2,0.3"],
 }
 
 UNPINNED_MESSAGES = {
