@@ -6,11 +6,13 @@ propagated exactly (up to double rounding) with no truncation.  The three
 propagators share one sweep, which differs only in its box ([0, x + n] for
 the reflected chain, [x - n, x + n] for the signed and drifted walks) and
 in its per-cell move probabilities, built from ``kernel.site_weight``.
-Step k updates only the support box, the part of that box within k of x
-in every coordinate, and gives the same bits as updating the whole box.
-Truncating would silently void the inequality checks, so none is
-performed; requests whose whole box would exceed the configured cell
-budget raise ResourceBudgetError instead, before any step.
+The sweep keeps only the box cells within L1 distance n of x, in two
+parity blocks ordered by distance, and step k updates only the cells
+within distance k whose distance has the parity of k: the reachable set.
+It gives the same bits as updating the whole box.  Truncating would
+silently void the inequality checks, so none is performed; requests whose
+whole box would exceed the configured cell budget raise
+ResourceBudgetError instead, before any step.
 
 The module provides
 
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -77,57 +79,112 @@ def _axis_view(arr: np.ndarray, dim: int, axis: int) -> np.ndarray:
 def _evolve(
     shape: tuple[int, ...],
     start_idx: tuple[int, ...],
-    axis_weights: list[tuple[object, object]],
+    weights: Callable[[tuple[np.ndarray, ...]], list[tuple[object, object]]],
     n: int,
-    snapshot: Callable[[int, np.ndarray, tuple[int, ...]], None] | None = None,
+    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Push a point mass through n steps of a nearest-neighbour kernel.
 
-    axis_weights[i] = (w_up, w_down): per-cell probability of moving +1 / -1
-    along axis i, evaluated at the source cell.  Entries may be scalars,
-    arrays broadcastable to shape, or None (no such move).  A move out of
-    the box is dropped, so the box must contain the n-step reachable set.
+    weights(cells) gives, for the cells whose box indices along each axis
+    are the 1-d arrays in cells, the per-axis pairs (w_up, w_down): the
+    probability of moving +1 / -1 along axis i from each cell, as an array
+    over the cells, a scalar, or None (no such move).  A move out of the
+    box is dropped, so the box must contain the n-step reachable set.
 
-    Only the support box [lo, hi) is swept: it starts at the start cell
-    and grows by one cell per axis per step, clipped to the box.  Each cell
-    gets the same products, added in the same order, as in a sweep of the
-    whole box; the terms skipped are exact zeros, so the values are
-    bit-identical to it.  Returns the support array and lo; snapshot(k,
-    support, lo) sees every step's array, which later steps overwrite.
+    Every step moves the L1 distance from the start by one, so after k
+    steps the mass lies on the cells within distance k of the start whose
+    distance has the parity of k.  The box cells within distance n are
+    kept as two parity blocks, each ordered by distance, and step k writes
+    only the first cells of block k % 2, those within distance k.  Each of
+    them pulls its sources from the other block one move at a time, in the
+    order axis 0 up, axis 0 down, axis 1 up, ...; a source outside the box
+    or beyond distance n reads the block's last slot, a pad that holds 0.0.
+    So each cell gets the same nonzero products, added in the same order,
+    as in a sweep of the whole box; the terms skipped are exact zeros, and
+    the values are bit-identical to it.
+
+    Returns the support array, the part of the box within n of the start
+    along every axis, and the box index of its first cell.  snapshot(k,
+    values, cells) sees each step's values in level order, together with
+    the box indices of their cells, one array per axis; later steps
+    overwrite the values.  Indices are int32, so the box, framed by one
+    cell on every side, must hold fewer than 2**31 cells.
     """
     dim = len(shape)
-    size = math.prod(shape)
-    buffers, scratch = (np.empty(size), np.empty(size)), np.empty(size)
-    moves = [(i, step, np.broadcast_to(w, shape))
-             for i, pair in enumerate(axis_weights)
-             for step, w in zip((1, -1), pair) if w is not None]
-    whole = (slice(None),) * dim
-    lo, hi = list(start_idx), [c + 1 for c in start_idx]
-    P = buffers[0][:1].reshape((1,) * dim)
-    P.fill(1.0)
+    # distances from the start over the box in a frame one cell wide, whose
+    # cells are put beyond n, so that no source index leaves the array
+    framed = tuple(s + 2 for s in shape)
+    dist = 0
+    for i, (s, a) in enumerate(zip(shape, start_idx)):
+        axis = np.abs(np.arange(-1, s + 1, dtype=np.int32) - a)
+        axis[0] = axis[-1] = n + 1
+        dist = dist + _axis_view(axis, dim, i)
+    dist = dist.ravel()
+    kept = np.flatnonzero(dist <= n)
+    level = dist[kept]
+    # parity first, then distance, then C order; the narrowest key type
+    # lets numpy's stable sort use radix sort for the usual n
+    key = level % 2 * (n + 1) + level
+    order = np.argsort(key.astype(np.min_scalar_type(2 * n + 1)), kind="stable")
+    kept, level = kept[order].astype(np.int32), level[order]
+    ends = (0, kept.size - int(np.count_nonzero(level % 2)), kept.size)
+    sizes = (ends[1], ends[2] - ends[1])
+    # reach[b][k]: the cells of block b within distance k of the start
+    reach = [np.searchsorted(level[a:b], np.arange(n + 1), "right")
+             for a, b in zip(ends, ends[1:])]
+    # the distances are spent: reuse their array as each cell's place in its
+    # block, -1 (the pad) for a cell not kept
+    pos = dist
+    pos.fill(-1)
+    for a, b in zip(ends, ends[1:]):
+        pos[kept[a:b]] = np.arange(b - a, dtype=np.int32)
+    strides = [math.prod(framed[i + 1:]) for i in range(dim)]
+    coords = tuple(kept // stride % side - 1 for stride, side in zip(strides, framed))
+    # tables[b]: per move, each block-b cell's source in the other block and
+    # the move's probability there, tabled one move at a time so that only
+    # one move's weights are ever spread over the cells.  They are spread
+    # over the two blocks, each followed by its pad's 0.0.
+    padded = (slice(0, ends[1] + 1), slice(ends[1] + 1, ends[2] + 2))
+    slots = np.arange(kept.size)
+    slots[ends[1]:] += 1
+    tables: tuple[list, list] = ([], [])
+    for i, pair in enumerate(weights(coords)):
+        for step, w in zip((1, -1), pair):
+            if w is None:
+                continue
+            src = pos[kept - step * strides[i]]
+            spread = np.zeros(kept.size + 2)
+            spread[slots] = w
+            for b, o in ((0, 1), (1, 0)):
+                idx = src[ends[b]:ends[b + 1]]
+                tables[b].append((idx, spread[padded[o]][idx]))
+    # only the tables and the cells' indices outlive the build
+    del dist, pos, kept, level, key, order, slots, spread
+    P = [np.zeros(size + 1) for size in sizes]
+    P[0][0] = 1.0
+    cells = [tuple(c[a:b] for c in coords) for a, b in zip(ends, ends[1:])]
+    term = np.empty(max(sizes))
     if snapshot is not None:
-        snapshot(0, P, tuple(lo))
+        snapshot(0, P[0][:1], tuple(c[:1] for c in cells[0]))
     for k in range(1, n + 1):
-        new_lo = [max(a - 1, 0) for a in lo]
-        new_hi = [min(b + 1, s) for b, s in zip(hi, shape)]
-        new_shape = tuple(b - a for a, b in zip(new_lo, new_hi))
-        new = buffers[k % 2][:math.prod(new_shape)].reshape(new_shape)
-        new.fill(0.0)
-        box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        held = tuple(slice(a - c, b - c) for a, b, c in zip(lo, hi, new_lo))
-        term = scratch[:P.size].reshape(P.shape)
-        for i, step, w in moves:
-            # the sources along axis i whose target lies inside the box
-            a, b = max(lo[i], int(step < 0)), min(hi[i], shape[i] - int(step > 0))
-            if a < b:
-                np.multiply(P, w[box], out=term)
-                src = whole[:i] + (slice(a - lo[i], b - lo[i]),)
-                dst = slice(a + step - new_lo[i], b + step - new_lo[i])
-                new[held[:i] + (dst,) + held[i + 1:]] += term[src]
-        P, lo, hi = new, new_lo, new_hi
+        b = k % 2
+        m = reach[b][k]
+        src, out, buf = P[1 - b], P[b][:m], term[:m]
+        (first, w_first), *rest = tables[b]
+        src.take(first[:m], out=out, mode="wrap")
+        out *= w_first[:m]
+        for idx, w in rest:
+            src.take(idx[:m], out=buf, mode="wrap")
+            buf *= w[:m]
+            out += buf
         if snapshot is not None:
-            snapshot(k, P, tuple(lo))
-    return P, tuple(lo)
+            snapshot(k, out, tuple(c[:m] for c in cells[b]))
+    b, m = n % 2, reach[n % 2][n]
+    lo = tuple(max(a - n, 0) for a in start_idx)
+    hi = tuple(min(a + n + 1, s) for a, s in zip(start_idx, shape))
+    support = np.zeros(tuple(h - a for a, h in zip(lo, hi)))
+    support[tuple(c[:m] - a for c, a in zip(cells[b], lo))] = P[b][:m]
+    return support, lo
 
 
 def _reflected_weights(p: ModelParams, coords: list[np.ndarray]):
@@ -165,15 +222,16 @@ def _sweep(
     weights: Callable,
     *,
     orthant: bool,
-    snapshot: Callable[[int, np.ndarray, tuple[int, ...]], None] | None = None,
+    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
 ) -> tuple[np.ndarray, State]:
     """Propagate a point mass at start for n steps inside the smallest box
     holding the reachable set: [0, start + n] on the orthant, else
     [start - n, start + n].  weights(p, coords) gives the per-axis move
-    probabilities from the coordinates of the box cells.  The cell budget
-    counts the whole box, though only the support is swept (see _evolve).
-    Returns the final support array and the site of its first cell; the lo
-    passed to snapshot is a box index, which on the orthant is the site."""
+    probabilities from the lattice coordinates of the cells it is given.
+    The cell budget counts the whole box, though only the cells within n
+    of start are swept (see _evolve).  Returns the final support array and
+    the site of its first cell; the cells passed to snapshot are box
+    indices, which on the orthant are the sites."""
     if len(start) != p.dim:
         raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
     if orthant and any(c < 0 for c in start):
@@ -183,12 +241,11 @@ def _sweep(
     corner = (0,) * p.dim if orthant else tuple(c - n for c in start)
     shape = tuple(c + n + 1 - lo for c, lo in zip(start, corner))
     _check_budget(shape, max_cells)
-    coords = [
-        _axis_view(lo + np.arange(k), p.dim, i)
-        for i, (lo, k) in enumerate(zip(corner, shape))
-    ]
     at = tuple(c - lo for c, lo in zip(start, corner))
-    grid, lo = _evolve(shape, at, weights(p, coords), n, snapshot)
+    grid, lo = _evolve(
+        shape, at, lambda cells: weights(p, [c + i for c, i in zip(corner, cells)]),
+        n, snapshot,
+    )
     return grid, tuple(a + b for a, b in zip(corner, lo))
 
 
@@ -352,13 +409,14 @@ def log_mgf(
         terms = logs
         for i in range(p.dim):
             terms = terms + s[i] * cells[i]
-        value = float(logsumexp(terms))
-        if not math.isfinite(value):
-            # the products s_i y_i overflowed, perhaps in opposite directions:
-            # sum the tilt scaled by max |s_i| first, then scale back
+        if not np.isfinite(terms).all():
+            # a product s_i y_i overflowed, perhaps against one of the other
+            # sign, though s.y itself may be in range: sum the tilt scaled by
+            # max |s_i| first, then scale back
             top = float(np.max(np.abs(s)))
             dot = sum((s[i] / top) * cells[i] for i in range(p.dim))
-            value = float(logsumexp(logs + top * dot))
+            terms = logs + top * dot
+        value = float(logsumexp(terms))
     if not math.isfinite(value):
         raise OverflowError(f"Lambda_{n}(s) for s={s.tolist()} is beyond double range")
     return value
@@ -395,9 +453,10 @@ def return_probability_profile(
     origin = (0,) * p.dim
     out: list[tuple[int, float]] = []
 
-    def snap(k: int, grid: np.ndarray, lo: State) -> None:
+    def snap(k: int, values: np.ndarray, cells) -> None:
+        # the start is the only cell at distance 0, so it comes first
         if k % 2 == 0:
-            out.append((k, float(grid[origin])))
+            out.append((k, float(values[0])))
 
     _reflected(p, origin, max_horizon, max_cells, snapshot=snap)
     return out
@@ -483,11 +542,19 @@ class DominationReport:
     min_slack: float | None = None
 
 
-def _orthant_cells(dists: Iterable[SparseDistribution]) -> set[State]:
-    cells: set[State] = set()
-    for dist in dists:
-        cells.update(k for k in dist if all(c >= 0 for c in k))
-    return cells
+def _orthant_differences(
+    p: ModelParams, start: State, n: int, max_cells: int, scale: float
+) -> tuple[np.ndarray, int]:
+    """px - scale * pz on the orthant cells where the signed law px or the
+    drifted law pz from start is nonzero, and the number of those cells.
+    Both sweeps use the box [start - n, start + n], so their arrays share
+    one corner."""
+    px, corner = _sweep(p, start, n, max_cells, _signed_weights, orthant=False)
+    pz, _ = _sweep(p, start, n, max_cells, _drifted_weights, orthant=False)
+    orthant = tuple(slice(max(-c, 0), None) for c in corner)
+    px, pz = px[orthant], pz[orthant]
+    cells = (px != 0.0) | (pz != 0.0)
+    return (px - scale * pz)[cells], int(np.count_nonzero(cells))
 
 
 def check_domination_upper(
@@ -500,13 +567,9 @@ def check_domination_upper(
 
     Scans the union of both supports restricted to the orthant and reports
     the largest difference (mathematically <= 0)."""
-    origin = (0,) * p.dim
-    px = propagate_full(p, origin, n, max_cells=max_cells)
-    pz = propagate_drifted(p, origin, n, max_cells=max_cells)
-    cells = _orthant_cells((px, pz))
-    worst = max(px.get(k, 0.0) - pz.get(k, 0.0) for k in cells)
+    diff, cells = _orthant_differences(p, (0,) * p.dim, n, max_cells, 1.0)
     return DominationReport(
-        mode="upper", n=n, cells_checked=len(cells), max_violation=worst
+        mode="upper", n=n, cells_checked=cells, max_violation=float(diff.max())
     )
 
 
@@ -523,11 +586,8 @@ def check_domination_lower(
         raise ValueError(f"start must have every coordinate >= 1, got {z}")
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    px = propagate_full(p, z, n, max_cells=max_cells)
-    pz = propagate_drifted(p, z, n, max_cells=max_cells)
     scale = float(n) ** (-p.dim)
-    cells = _orthant_cells((px, pz))
-    worst = min(px.get(k, 0.0) - scale * pz.get(k, 0.0) for k in cells)
+    diff, cells = _orthant_differences(p, z, n, max_cells, scale)
     return DominationReport(
-        mode="lower", n=n, cells_checked=len(cells), min_slack=worst
+        mode="lower", n=n, cells_checked=cells, min_slack=float(diff.min())
     )

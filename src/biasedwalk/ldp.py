@@ -447,10 +447,10 @@ def ldp_consistency(
     limit = _halfspace_infimum(p, a)
     tails: dict[int, float] = {}
 
-    def snap(k: int, grid: np.ndarray, lo) -> None:
-        # the support of a sweep from the origin starts at the origin
+    def snap(k: int, values: np.ndarray, cells) -> None:
+        # on the orthant a box index is the site; fsum ignores the order
         if k in horizons:
-            tails[k] = math.fsum(grid[math.ceil(a * k - 1e-9):].flat)
+            tails[k] = math.fsum(values[cells[0] >= math.ceil(a * k - 1e-9)])
 
     exact._reflected(p, (0,) * p.dim, max(horizons, default=0), max_cells, snapshot=snap)
     rows = []

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -163,22 +165,31 @@ def _placed(shape, grid, lo):
     return full
 
 
+def _scattered(shape, values, cells):
+    """A snapshot's level-ordered values written into a zero grid of the
+    whole box at their cells."""
+    full = np.zeros(shape)
+    full[cells] = values
+    return full
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    d=st.integers(1, 3),
+    d=st.integers(1, 4),
     lam=st.one_of(
         st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ),
     data=st.data(),
-    n=st.integers(0, 25),
     family=st.sampled_from(sorted(_FAMILIES)),
 )
-def test_support_sweep_matches_full_box_reference(d, lam, data, n, family):
-    # Starts on and off the faces.  The box is the one exact._sweep builds,
-    # or, to reach the clip at its far edge, that box cut short by up to two
-    # cells per axis, so that mass runs out of it in both sweeps alike.
-    # Every snapshot and the final grid must equal the reference bit for bit.
+def test_reachable_sweep_matches_full_box_reference(d, lam, data, family):
+    # Starts on and off the faces, up to 25 steps (10 at d = 4).  The box is
+    # the one exact._sweep builds, or, to reach the clip at its far edge,
+    # that box cut short by up to two cells per axis, so that mass runs out
+    # of it in both sweeps alike.  Every snapshot and the final grid must
+    # equal the reference bit for bit.
+    n = data.draw(st.integers(0, 10 if d == 4 else 25))
     start = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
     cut = data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
     p = ModelParams(d, lam)
@@ -188,17 +199,31 @@ def test_support_sweep_matches_full_box_reference(d, lam, data, n, family):
     shape = tuple(max(a + 1, a + n + 1 - c) for a, c in zip(at, cut))
     coords = [exact._axis_view(lo + np.arange(k), d, i)
               for i, (lo, k) in enumerate(zip(corner, shape))]
-    axis_weights = weights(p, coords)
     expected = []
-    final = _reference_evolve(shape, at, axis_weights, n,
+    final = _reference_evolve(shape, at, weights(p, coords), n,
                               lambda k, grid: expected.append(grid.copy()))
     seen = []
-    grid, lo = exact._evolve(shape, at, axis_weights, n,
-                             lambda k, grid, lo: seen.append(_placed(shape, grid, lo)))
+    grid, lo = exact._evolve(
+        shape, at, lambda cells: weights(p, [a + c for a, c in zip(corner, cells)]), n,
+        lambda k, values, cells: seen.append(_scattered(shape, values, cells)),
+    )
     assert len(seen) == len(expected) == n + 1
     for k, (got, want) in enumerate(zip(seen, expected)):
         assert np.array_equal(got, want), k
     assert np.array_equal(_placed(shape, grid, lo), final)
+
+
+def test_reachable_sweep_peak_memory():
+    # a d=3 sweep keeps its tables over the reachable cells only: the whole
+    # box costs one int32 array and the returned support array
+    exact._reflected(ModelParams(3, 0.5), (0, 0, 0), 2, exact.DEFAULT_MAX_CELLS)
+    tracemalloc.start()
+    try:
+        exact._reflected(ModelParams(3, 0.5), (0, 0, 0), 100, exact.DEFAULT_MAX_CELLS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 @pytest.mark.parametrize("sweep, start, cells", [
@@ -318,6 +343,62 @@ def test_log_mgf_opposite_overflowing_products_cancel():
     assert log_mgf(p, (2, 2), 0, [1e308, -1e308]) == 0.0
     assert log_mgf(p, (2, 3), 0, [1e308, -1e308]) == -1e308
     assert log_mgf(p, (2, 2), 1, [1e308, -1e308]) == 1e308
+
+
+def _reference_log_mgf(p, start, n, s):
+    """ln sum_y P(y) exp(s.y) over propagate's law.  Each term ln P(y) + s.y
+    is summed exactly and rounded once, to +-inf beyond double range, and
+    the exponentials are summed with math.fsum."""
+    terms = []
+    for y, mass in propagate(p, start, n).items():
+        exact_term = Fraction(math.log(mass)) + sum(Fraction(c) * k for c, k in zip(s, y))
+        try:
+            terms.append(float(exact_term))
+        except OverflowError:
+            terms.append(math.inf if exact_term > 0 else -math.inf)
+    top = max(terms)
+    if not math.isfinite(top):
+        return top
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+_TILT = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.floats(-50.0, 50.0),
+    # products s_i y_i just past double range, of either sign
+    st.integers(-17, 17).map(lambda k: k * 1e307),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    lam=st.floats(0.0, 1.0, exclude_max=True),
+    n=st.integers(0, 30),
+    tilt=st.lists(_TILT, min_size=3, max_size=3),
+    site=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+# every term is far below zero, and the largest one holds an overflowing
+# product s_1 y_1 = -1.8e308 beside s_2 y_2 = 7e307
+@example(d=2, lam=0.5, n=1, tilt=[-6e307, 7e307, 0.0], site=[3, 0, 0])
+def test_log_mgf_wide_tilts_match_fsum_reference(d, lam, n, tilt, site):
+    # any finite tilt, huge, subnormal or of mixed signs: either a finite
+    # value close to the reference, or OverflowError where the true value
+    # is beyond double range (or within a factor 1e8 of its edge)
+    s, start = tilt[:d], tuple(site[:d])
+    p = ModelParams(d, lam)
+    ref = _reference_log_mgf(p, start, n, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = log_mgf(p, start, n, s)
+        except OverflowError:
+            assert not math.isfinite(ref) or abs(ref) > 1e300, ref
+            return
+    assert math.isfinite(value) and math.isfinite(ref), (value, ref)
+    tol = 1e-12 * (1.0 + abs(ref)) + n * math.fsum(1e-12 * abs(c) for c in s)
+    assert abs(value - ref) <= tol, (value, ref)
 
 
 def test_log_mgf_convergence_checkpoint():
