@@ -495,7 +495,7 @@ def _run_path_rate(cfg: dict):
             f"--path breakpoints have dimension {path.dim}, --dim is {p.dim}"
         )
     slopes = path.slopes()
-    rates = [ldp.rate_function(p, slope).value for slope in slopes]
+    rates = [ldp._slope_rate(p, slope) for slope in slopes]
     action = ldp._action(path, rates)
     times = path.times
     segments = [
@@ -637,6 +637,11 @@ def main(argv=None) -> int:
         cfg = _merge(command, args)
         payload, header, rows, summary = command.run(cfg)
         artifact = _render_artifact(command, cfg, payload, header, rows)
+        if cfg["out"] is not None:
+            try:
+                Path(cfg["out"]).write_text(artifact)
+            except OSError as err:
+                raise CliError(f"--out: cannot write {cfg['out']!r}: {err.strerror}") from None
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -644,7 +649,6 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if cfg["out"] is not None:
-        Path(cfg["out"]).write_text(artifact)
         print(summary)
     else:
         sys.stdout.write(artifact)

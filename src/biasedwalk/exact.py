@@ -5,7 +5,8 @@ n steps the walk started at x lives in a box of side O(n), so its law can be
 propagated exactly (up to double rounding) with no truncation.  The three
 propagators share one sweep, which differs only in its box ([0, x + n] for
 the reflected chain, [x - n, x + n] for the signed and drifted walks) and
-in its per-cell move probabilities, built from ``kernel.site_weight``.
+in the rows of ``kernel.move_table`` that its cells read their move
+probabilities from.
 The sweep keeps only the box cells within L1 distance n of x, in two
 parity blocks ordered by distance, and step k updates only the cells
 within distance k whose distance has the parity of k: the reachable set.
@@ -37,14 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, kappa, site_weight
+from .kernel import ModelParams, State, kappa, move_row, move_table
 
 SparseDistribution = dict[State, float]
 
@@ -58,15 +59,6 @@ DEFAULT_MAX_PATHS = 300_000
 # ---------------------------------------------------------------------------
 # dense grid propagation
 # ---------------------------------------------------------------------------
-
-
-def _check_budget(shape: tuple[int, ...], max_cells: int) -> None:
-    cells = math.prod(shape)
-    if cells > max_cells:
-        raise ResourceBudgetError(
-            f"propagation grid needs {cells} cells (shape {shape}), "
-            f"budget is {max_cells}"
-        )
 
 
 def _axis_view(arr: np.ndarray, dim: int, axis: int) -> np.ndarray:
@@ -187,51 +179,33 @@ def _evolve(
     return support, lo
 
 
-def _reflected_weights(p: ModelParams, coords: list[np.ndarray]):
-    """Up/down move probabilities of the reflected chain on Z_+^d."""
-    zero = [c == 0 for c in coords]
-    big_d = site_weight(p, sum(zero))
-    w_down = (p.lam / big_d) if p.lam > 0.0 else None
-    return [(np.where(z, 2.0, 1.0) / big_d, w_down) for z in zero]
-
-
-def _signed_weights(p: ModelParams, coords: list[np.ndarray]):
-    """Up/down move probabilities of the signed walk on Z^d: +1 is inward
-    exactly when the coordinate is negative, -1 exactly when it is
-    positive."""
-    big_d = site_weight(p, sum(c == 0 for c in coords))
-    return [
-        (np.where(c < 0, p.lam, 1.0) / big_d, np.where(c > 0, p.lam, 1.0) / big_d)
-        for c in coords
-    ]
-
-
-def _drifted_weights(p: ModelParams, coords: list[np.ndarray]):
-    """Up/down move probabilities of the free comparison walk Z, the same
-    at every site."""
-    w_up = 1.0 / (p.dim * (1.0 + p.lam))
-    w_down = (p.lam / (p.dim * (1.0 + p.lam))) if p.lam > 0.0 else None
-    return [(w_up, w_down)] * p.dim
+def _move_weights(p: ModelParams, walk: str, coords):
+    """Per-axis (up, down) move probabilities of the walk at the sites with
+    the lattice coordinates in coords, one gather from kernel.move_table
+    per move; None for a move that no site makes (a down move at lam = 0)."""
+    widths, big_d = move_table(p, walk)
+    row = move_row(walk, coords)
+    probs = [col[row] if made else None
+             for col, made in zip((widths / big_d[:, None]).T, widths.any(axis=0))]
+    return list(zip(probs[1::2], probs[0::2]))
 
 
 def _sweep(
     p: ModelParams,
+    walk: str,
     start: State,
     n: int,
     max_cells: int,
-    weights: Callable,
-    *,
-    orthant: bool,
     snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
 ) -> tuple[np.ndarray, State]:
-    """Propagate a point mass at start for n steps inside the smallest box
-    holding the reachable set: [0, start + n] on the orthant, else
-    [start - n, start + n].  weights(p, coords) gives the per-axis move
-    probabilities from the lattice coordinates of the cells it is given.
-    The cell budget counts the whole box, though only the cells within n
-    of start are swept (see _evolve).  Returns the final support array and
-    the site of its first cell; the cells passed to snapshot are box
-    indices, which on the orthant are the sites."""
+    """Propagate a point mass at start for n steps of the walk inside the
+    smallest box holding the reachable set: [0, start + n] for the
+    reflected chain, else [start - n, start + n].  The cell budget counts
+    the whole box, though only the cells within n of start are swept (see
+    _evolve).  Returns the final support array and the site of its first
+    cell; the cells passed to snapshot are box indices, which on the
+    orthant are the sites."""
+    orthant = walk == "reflected"
     if len(start) != p.dim:
         raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
     if orthant and any(c < 0 for c in start):
@@ -240,16 +214,16 @@ def _sweep(
         raise ValueError(f"step count must be nonnegative, got {n}")
     corner = (0,) * p.dim if orthant else tuple(c - n for c in start)
     shape = tuple(c + n + 1 - lo for c, lo in zip(start, corner))
-    _check_budget(shape, max_cells)
+    if math.prod(shape) > max_cells:
+        raise ResourceBudgetError(f"propagation grid needs {math.prod(shape)} cells "
+                                  f"(shape {shape}), budget is {max_cells}")
     at = tuple(c - lo for c, lo in zip(start, corner))
     grid, lo = _evolve(
-        shape, at, lambda cells: weights(p, [c + i for c, i in zip(corner, cells)]),
+        shape, at,
+        lambda cells: _move_weights(p, walk, [c + i for c, i in zip(corner, cells)]),
         n, snapshot,
     )
     return grid, tuple(a + b for a, b in zip(corner, lo))
-
-
-_reflected = partial(_sweep, weights=_reflected_weights, orthant=True)
 
 
 def _law(grid: np.ndarray, corner: State) -> SparseDistribution:
@@ -271,7 +245,7 @@ def propagate(
     Support is contained in {y in Z_+^d : sum(y) <= sum(start) + n, with
     sum(y) = sum(start) + n (mod 2)}; total mass is 1 up to rounding.
     """
-    return _law(*_reflected(p, start, n, max_cells))
+    return _law(*_sweep(p, "reflected", start, n, max_cells))
 
 
 def propagate_full(
@@ -287,7 +261,7 @@ def propagate_full(
     reflected law by redistributing over sign patterns is wrong in general,
     so the full chain is propagated directly.
     """
-    return _law(*_sweep(p, start, n, max_cells, _signed_weights, orthant=False))
+    return _law(*_sweep(p, "signed", start, n, max_cells))
 
 
 def propagate_drifted(
@@ -302,7 +276,7 @@ def propagate_drifted(
     Z steps +e_i with probability 1/(d(1+lam)) and -e_i with probability
     lam/(d(1+lam)) regardless of position.
     """
-    return _law(*_sweep(p, start, n, max_cells, _drifted_weights, orthant=False))
+    return _law(*_sweep(p, "drifted", start, n, max_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +375,7 @@ def log_mgf(
         raise ValueError(f"s must have shape ({p.dim},), got {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError(f"s must be finite, got {s.tolist()}")
-    grid, corner = _reflected(p, start, n, max_cells)
+    grid, corner = _sweep(p, "reflected", start, n, max_cells)
     nz = np.nonzero(grid)
     cells = [nz[i] + corner[i] for i in range(p.dim)]
     logs = np.log(grid[nz])
@@ -437,7 +411,7 @@ def return_probability(
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
     origin = (0,) * p.dim
     # a sweep from the origin keeps the origin as its support's first cell
-    return float(_reflected(p, origin, horizon, max_cells)[0][origin])
+    return float(_sweep(p, "reflected", origin, horizon, max_cells)[0][origin])
 
 
 def return_probability_profile(
@@ -458,7 +432,7 @@ def return_probability_profile(
         if k % 2 == 0:
             out.append((k, float(values[0])))
 
-    _reflected(p, origin, max_horizon, max_cells, snapshot=snap)
+    _sweep(p, "reflected", origin, max_horizon, max_cells, snap)
     return out
 
 
@@ -549,8 +523,8 @@ def _orthant_differences(
     drifted law pz from start is nonzero, and the number of those cells.
     Both sweeps use the box [start - n, start + n], so their arrays share
     one corner."""
-    px, corner = _sweep(p, start, n, max_cells, _signed_weights, orthant=False)
-    pz, _ = _sweep(p, start, n, max_cells, _drifted_weights, orthant=False)
+    px, corner = _sweep(p, "signed", start, n, max_cells)
+    pz, _ = _sweep(p, "drifted", start, n, max_cells)
     orthant = tuple(slice(max(-c, 0), None) for c in corner)
     px, pz = px[orthant], pz[orthant]
     cells = (px != 0.0) | (pz != 0.0)

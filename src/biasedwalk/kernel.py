@@ -17,12 +17,18 @@ Because the coordinate signs never flip, the vector of absolute values
 "reflected" chain).  Most quantitative work in this package is phrased in
 terms of that chain, plus a translation-invariant comparison walk Z with
 the same inward/outward step weights but no boundary interaction.
+
+These weights are written down once, in ``move_table``: a table of move
+widths for each of the three walks, with one row per kind of site.  The
+one-step laws below, the exact propagators and the simulator all read
+their move probabilities from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +80,78 @@ def kappa(v: State) -> int:
     return sum(1 for c in v if c == 0)
 
 
-def site_weight(p: ModelParams, kap):
-    """Normalising weight D = d + kappa + lam*(d - kappa) at a site with
-    kap zero coordinates; kap may be an integer array."""
-    return p.dim + kap + p.lam * (p.dim - kap)
+def move_row(walk: str, coords):
+    """Row of ``move_table(p, walk)`` for the sites with the given
+    coordinates, one int or integer array per axis: sum_i [c_i = 0] 2^i
+    (reflected), sum_i (sign(c_i) + 1) 3^i (signed) or 0 (drifted)."""
+    if walk == "reflected":
+        return sum((c == 0) << i for i, c in enumerate(coords))
+    if walk == "signed":
+        return sum((np.sign(c) + 1) * 3**i for i, c in enumerate(coords))
+    return 0
+
+
+@lru_cache(maxsize=16)
+def move_table(p: ModelParams, walk: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised move widths of one walk, a row per kind of site, and
+    each row's weight D: from a site of row r (see move_row) the walk makes
+    move j, a step of -1 (even j) or +1 (odd j) on coordinate j >> 1, with
+    probability widths[r, j] / D[r].  The arrays are read-only.
+
+    ``"signed"`` is the walk on Z^d, with a row per sign pattern: width lam
+    inward and 1 otherwise.  ``"reflected"`` is the chain of absolute
+    values, with a row per zero pattern: both signed moves off a zero
+    coordinate fold onto its up move, of width 2, and its down move has
+    width 0.  ``"drifted"`` is the free comparison walk, with the one row
+    (lam, 1, lam, 1, ...) and D = d * (1 + lam).
+    """
+    base = {"reflected": 2, "signed": 3, "drifted": 1}[walk]
+    digit = np.arange(base**p.dim)[:, None] // base ** np.arange(p.dim) % base
+    # one site of each row, in row order
+    widths, big_d = _rows(p, walk, 1 - digit if walk == "reflected" else digit - 1)
+    widths.flags.writeable = big_d.flags.writeable = False
+    return widths, big_d
+
+
+def _rows(p: ModelParams, walk: str, sites) -> tuple[np.ndarray, np.ndarray]:
+    """The move_table rows of the sites, an integer array of shape (k, d)."""
+    d, lam = p.dim, p.lam
+    # the drifted walk moves as the signed walk does off every hyperplane
+    c = np.ones_like(sites) if walk == "drifted" else np.asarray(sites)
+    zero = c == 0
+    if walk == "reflected":
+        down, up = np.where(zero, 0.0, lam), np.where(zero, 2.0, 1.0)
+    else:
+        down, up = np.where(c > 0, lam, 1.0), np.where(c < 0, lam, 1.0)
+    kap = zero.sum(axis=1)
+    big_d = d + kap + lam * (d - kap)
+    if walk == "drifted":
+        big_d = np.full(len(c), d * (1.0 + lam))
+    return np.stack([down, up], axis=2).reshape(len(c), 2 * d), big_d
+
+
+def _site_row(p: ModelParams, walk: str, v: State) -> tuple[np.ndarray, float]:
+    """The move_table row of site v and its weight D, once v is checked to
+    have d coordinates, none negative for the reflected chain."""
+    if len(v) != p.dim:
+        raise ValueError(f"site has {len(v)} coordinates, expected {p.dim}")
+    if walk == "reflected" and any(c < 0 for c in v):
+        raise ValueError(f"site must lie in Z_+^{p.dim}, got {v}")
+    widths, big_d = _rows(p, walk, [v])
+    return widths[0], float(big_d[0])
+
+
+def _one_step(p: ModelParams, walk: str, v: State) -> StepDistribution:
+    """One-step law of the walk from site v, read from its move_table row;
+    moves of probability 0 are left out."""
+    widths, big_d = _site_row(p, walk, v)
+    dist: StepDistribution = {}
+    for j, w in enumerate(widths.tolist()):
+        prob = w / big_d
+        if prob > 0.0:
+            i = j >> 1
+            dist[v[:i] + (v[i] + (j & 1) * 2 - 1,) + v[i + 1 :]] = prob
+    return dist
 
 
 def full_kernel(p: ModelParams, v: State) -> StepDistribution:
@@ -87,18 +161,7 @@ def full_kernel(p: ModelParams, v: State) -> StepDistribution:
     others 1/D.  Entries with zero probability (inward moves at lam = 0)
     are omitted.
     """
-    if len(v) != p.dim:
-        raise ValueError(f"site has {len(v)} coordinates, expected {p.dim}")
-    big_d = site_weight(p, kappa(v))
-    dist: StepDistribution = {}
-    for i in range(p.dim):
-        for step in (-1, 1):
-            u = v[:i] + (v[i] + step,) + v[i + 1 :]
-            inward = abs(u[i]) < abs(v[i])
-            prob = p.lam / big_d if inward else 1.0 / big_d
-            if prob > 0.0:
-                dist[u] = prob
-    return dist
+    return _one_step(p, "signed", v)
 
 
 def reflected_kernel(p: ModelParams, y: State) -> StepDistribution:
@@ -109,36 +172,15 @@ def reflected_kernel(p: ModelParams, y: State) -> StepDistribution:
     fold onto the same target); a positive coordinate steps up with
     probability 1/D and down with probability lam/D.
     """
-    if len(y) != p.dim:
-        raise ValueError(f"site has {len(y)} coordinates, expected {p.dim}")
-    if any(c < 0 for c in y):
-        raise ValueError(f"reflected chain needs nonnegative coordinates, got {y}")
-    big_d = site_weight(p, kappa(y))
-    dist: StepDistribution = {}
-    for i in range(p.dim):
-        up = y[:i] + (y[i] + 1,) + y[i + 1 :]
-        if y[i] == 0:
-            dist[up] = 2.0 / big_d
-        else:
-            dist[up] = 1.0 / big_d
-            if p.lam > 0.0:
-                down = y[:i] + (y[i] - 1,) + y[i + 1 :]
-                dist[down] = p.lam / big_d
-    return dist
+    return _one_step(p, "reflected", y)
 
 
 def drift(p: ModelParams, y: State) -> np.ndarray:
     """Expected one-step displacement E[|X_{n+1}| - |X_n|] of the reflected
     chain at y: coordinate i contributes 2/D on the boundary (y_i = 0) and
     (1-lam)/D off it."""
-    if len(y) != p.dim:
-        raise ValueError(f"site has {len(y)} coordinates, expected {p.dim}")
-    if any(c < 0 for c in y):
-        raise ValueError(f"drift is defined on Z_+^d, got {y}")
-    big_d = site_weight(p, kappa(y))
-    return np.array(
-        [2.0 / big_d if c == 0 else (1.0 - p.lam) / big_d for c in y]
-    )
+    widths, big_d = _site_row(p, "reflected", y)
+    return (widths[1::2] - widths[0::2]) / big_d
 
 
 def drifted_kernel(p: ModelParams, z: State) -> StepDistribution:
@@ -149,12 +191,4 @@ def drifted_kernel(p: ModelParams, z: State) -> StepDistribution:
     It stochastically dominates the reflected chain coordinate-wise from
     above and, up to a polynomial factor, from below.
     """
-    if len(z) != p.dim:
-        raise ValueError(f"site has {len(z)} coordinates, expected {p.dim}")
-    denom = p.dim * (1.0 + p.lam)
-    dist: StepDistribution = {}
-    for i in range(p.dim):
-        dist[z[:i] + (z[i] + 1,) + z[i + 1 :]] = 1.0 / denom
-        if p.lam > 0.0:
-            dist[z[:i] + (z[i] - 1,) + z[i + 1 :]] = p.lam / denom
-    return dist
+    return _one_step(p, "drifted", z)

@@ -94,7 +94,8 @@ def log_psi(p: ModelParams, s) -> float:
         terms = np.where(s < p.s0, flat, smooth)
     else:
         terms = smooth
-    return float(logsumexp(terms))
+    with np.errstate(over="ignore"):  # logsumexp's a - a_max, not its value
+        return float(logsumexp(terms))
 
 
 def psi(p: ModelParams, s) -> float:
@@ -105,8 +106,7 @@ def psi(p: ModelParams, s) -> float:
 def sigma_matrix(p: ModelParams) -> np.ndarray:
     """Limiting covariance Sigma of (|X_n| - n*v)/sqrt(n): (1/d) on the
     diagonal minus the rank-one correction v_1^2 everywhere."""
-    d = p.dim
-    c = (1.0 - p.lam) / (d * (1.0 + p.lam))
+    d, c = p.dim, float(p.speed[0])
     return np.eye(d) / d - c * c * np.ones((d, d))
 
 
@@ -151,10 +151,17 @@ class RateResult:
     kkt_residual: float
 
 
+def _no_maximizer(value: float, domain_class: str, at_infinity: bool) -> RateResult:
+    """A rate with no finite maximizing tilt."""
+    return RateResult(value=value, argmax_s=None, at_infinity=at_infinity,
+                      domain_class=domain_class, iterations=0, kkt_residual=math.nan)
+
+
 def _classify(p: ModelParams, x: np.ndarray) -> str:
     if np.any(x < 0.0):
         return "outside"
-    total = float(x.sum())
+    with np.errstate(over="ignore"):
+        total = float(x.sum())      # +inf beyond double range: outside
     if p.lam == 0.0:
         return "simplex_boundary" if abs(total - 1.0) <= SIMPLEX_TOL else "outside"
     if total > 1.0 + SIMPLEX_TOL:
@@ -183,14 +190,7 @@ def _rate_lam0(p: ModelParams, x: np.ndarray) -> RateResult:
             iterations=0,
             kkt_residual=float(np.max(np.abs(grad))),
         )
-    return RateResult(
-        value=value,
-        argmax_s=None,
-        at_infinity=True,
-        domain_class="simplex_boundary",
-        iterations=0,
-        kkt_residual=math.nan,
-    )
+    return _no_maximizer(value, "simplex_boundary", at_infinity=True)
 
 
 def _dual_root(x: np.ndarray) -> tuple[float, int]:
@@ -223,14 +223,7 @@ def rate_function(p: ModelParams, x) -> RateResult:
     x[np.abs(x) <= SIMPLEX_TOL] = 0.0
     domain_class = _classify(p, x)
     if domain_class == "outside":
-        return RateResult(
-            value=math.inf,
-            argmax_s=None,
-            at_infinity=False,
-            domain_class="outside",
-            iterations=0,
-            kkt_residual=math.nan,
-        )
+        return _no_maximizer(math.inf, "outside", at_infinity=False)
     face = domain_class == "simplex_boundary"
     if face:
         x /= x.sum()
@@ -247,14 +240,7 @@ def rate_function(p: ModelParams, x) -> RateResult:
         + float(xlogy(1.0 - total, u)) + float(np.sum(xlogy(x, x + r)))
     ))
     if face:
-        return RateResult(
-            value=value,
-            argmax_s=None,
-            at_infinity=True,
-            domain_class=domain_class,
-            iterations=0,
-            kkt_residual=math.nan,
-        )
+        return _no_maximizer(value, domain_class, at_infinity=True)
     s_star = p.s0 + np.log((x + r) / u)
     # Stationarity residual at the maximizer; a coordinate at the kink
     # contributes exactly x_i = 0 because h'(s0) = 0.
@@ -345,6 +331,8 @@ class PiecewiseLinearPath:
             raise ValueError("all values must share one dimension")
         if any(c != 0.0 for c in values[0]):
             raise ValueError("paths must start at the origin")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("breakpoints must be finite")
         if any(c < 0.0 for row in values for c in row):
             raise ValueError("path values must be nonnegative")
 
@@ -357,7 +345,8 @@ class PiecewiseLinearPath:
 
     def slopes(self) -> np.ndarray:
         vals = np.asarray(self.values)
-        return np.diff(vals, axis=0) / self.durations()[:, None]
+        with np.errstate(over="ignore"):     # +inf beyond double range
+            return np.diff(vals, axis=0) / self.durations()[:, None]
 
 
 def path_from_json(source) -> PiecewiseLinearPath:
@@ -377,7 +366,13 @@ def path_rate_functional(p: ModelParams, path: PiecewiseLinearPath) -> float:
     +inf as soon as one slope leaves the effective domain."""
     if path.dim != p.dim:
         raise ValueError(f"path has dimension {path.dim}, model has {p.dim}")
-    return _action(path, (rate_function(p, slope).value for slope in path.slopes()))
+    return _action(path, (_slope_rate(p, slope) for slope in path.slopes()))
+
+
+def _slope_rate(p: ModelParams, slope: np.ndarray) -> float:
+    """Rate of one segment's slope; a slope beyond double range is outside
+    the domain."""
+    return math.inf if np.isinf(slope).any() else rate_function(p, slope).value
 
 
 def _action(path: PiecewiseLinearPath, rates) -> float:
@@ -452,7 +447,7 @@ def ldp_consistency(
         if k in horizons:
             tails[k] = math.fsum(values[cells[0] >= math.ceil(a * k - 1e-9)])
 
-    exact._reflected(p, (0,) * p.dim, max(horizons, default=0), max_cells, snapshot=snap)
+    exact._sweep(p, "reflected", (0,) * p.dim, max(horizons, default=0), max_cells, snap)
     rows = []
     for n in horizons:
         tail = tails[n]

@@ -13,25 +13,26 @@ distinct paths and steps get distinct counters).  This is exactly a
 SplitMix64 draw sequence per path, evaluated positionally: the stream of
 path j never depends on how many other paths run beside it.
 
-Each step converts one uniform into a move by inverse transform over the
-2d cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] whose widths
-are the reflected-kernel weights (lam for a down move off the boundary, 2
-for an up move on it, 1 otherwise, all relative to the site weight D).
+Each step converts one uniform u into a move by inverse transform over the
+2d cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] of the row of
+kernel.move_table("reflected") that the source site's zero pattern
+selects: the move is the number of running width totals of the row,
+summed left to right up to the next-to-last cell, that do not exceed u*D.
 
 The walk advances in blocks of _BLOCK steps.  A path whose smallest
 coordinate is at least the block length cannot reach a hyperplane inside
-the block, so every step of it uses the one constant table of cells off
-the hyperplanes: its draws for the whole block are converted at once and
-its position, history and visit count are updated from the moves.  Every
-other path takes the block one step at a time, with the cells of its
-current site.  Both give the moves of a plain step-by-step loop, bit for
-bit.
+the block, so every step of it reads row 0: its draws for the whole block
+are converted at once and its position, history and visit count are
+updated from the moves.  Every other path takes the block one step at a
+time, reading the row of its current site.  Both give the moves of a plain
+step-by-step loop, bit for bit.
 
 The martingale sums are kept as integer tallies of (path, step) pairs by
-the number of zero coordinates at the source site, whether coordinate i is
-zero there and the move on coordinate i.  They are turned into floats once,
-at the end, in a fixed order, so the summary does not depend on how paths
-were grouped into blocks and is reproducible bit for bit.
+table row and cell.  They are turned into floats once, at the end, grouped
+by the number of zero coordinates at the source site, whether coordinate i
+is zero there and the move on coordinate i, in a fixed order, so the
+summary does not depend on how paths were grouped into blocks and is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, site_weight
+from .kernel import ModelParams, State, move_row, move_table
 
 _GAMMA = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
@@ -61,6 +62,8 @@ _BLOCK = 12
 _FAR_ROWS = 16384 // _BLOCK
 _NEAR_ROWS = 4096
 _PAD = 64
+# The move table has a row per zero pattern, 2**dim of them.
+_MAX_DIM = 16
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -166,60 +169,50 @@ class _RawBatch:
     states: np.ndarray | None   # (n+1, m, d) full history if requested
 
 
-def _cell_index(widths: list, threshold: np.ndarray) -> np.ndarray:
-    """Inverse transform over the 2d cells (coord 0, -1), (coord 0, +1),
-    (coord 1, -1), ... with the given widths (scalars or arrays): the number
-    of running width totals, up to the next-to-last cell, that do not
-    exceed the threshold.  The totals are summed left to right, as a
-    cumulative sum would."""
-    cum = widths[0]
-    idx = (cum <= threshold).astype(np.int64)
-    for width in widths[1:-1]:
-        cum = cum + width
-        idx += cum <= threshold
-    return idx
-
-
 class _Walk:
     """State of a batch in flight: positions, streams, visit counts, the
     optional history and the integer tallies behind the martingale sums.
 
     Positions are held coordinate-major, ``Y[i, j]`` for coordinate i of
     path j, so that reductions over the coordinates of every path run along
-    the long axis.  The tallies count (path, step) pairs by the number kap
-    of zero coordinates at the source site: ``moves[kap, z, j]`` those that
-    moved through inverse-transform cell j (coordinate j >> 1, down for
-    even j) from a site where that coordinate is zero (z = 1) or not
-    (z = 0), and ``zeros[i, kap]`` those whose coordinate i is zero."""
+    the long axis.  ``moves[r, j]`` counts the (path, step) pairs that
+    moved through cell j from a site of move-table row r."""
 
     def __init__(self, plan: SimPlan, keep_path: bool) -> None:
         p = plan.params
         d, m = p.dim, plan.paths
-        self.dim, self.lam = d, p.lam
+        self.dim = d
         self.Y = np.tile(np.asarray(plan.start, dtype=np.int64)[:, None], (1, m))
         self.streams = _path_states(plan.seed, m)
         self.visits = (self.Y == 0).any(axis=0).astype(np.int64)
-        self.zeros = np.zeros((d, d + 1), dtype=np.int64)
-        self.moves = np.zeros((d + 1, 2, 2 * d), dtype=np.int64)
         self.history = None
         if keep_path:
             self.history = np.empty((plan.steps + 1, m, d), dtype=np.int64)
             self.history[0] = self.Y.T
-        # Site weight D by number of zero coordinates, and the cell widths
-        # off the hyperplanes.
-        self.site_weight = site_weight(p, np.arange(d + 1))
-        self.far_widths = [self.lam, 1.0] * d
+        self.widths, self.big_d = move_table(p, "reflected")
+        # cum[j, r]: the widths of cells 0..j of row r, summed left to right
+        self.cum = np.ascontiguousarray(np.cumsum(self.widths, axis=1).T)
+        self.moves = np.zeros(self.widths.shape, dtype=np.int64)
+
+    def cell_index(self, row, threshold: np.ndarray) -> np.ndarray:
+        """Inverse transform: the number of running width totals of the
+        table row, up to the next-to-last cell, that do not exceed the
+        threshold."""
+        idx = (self.cum[0][row] <= threshold).astype(np.int64)
+        for cum in self.cum[1:-1]:
+            idx += cum[row] <= threshold
+        return idx
 
     def far_block(self, rows: np.ndarray, t0: int, k: int) -> None:
         """Advance rows whose smallest coordinate is at least k by k steps.
 
         No source site in the block lies on a hyperplane, so every step
-        uses the constant table, and only the block's last index can be a
+        uses row 0 of the table, and only the block's last index can be a
         boundary visit."""
         d, c = self.dim, rows.size
         Y = self.Y.take(rows, axis=1)
         u = _step_uniforms(self.streams[rows], np.arange(t0, t0 + k)[:, None])
-        idx = _cell_index(self.far_widths, u * self.site_weight[0])
+        idx = self.cell_index(0, u * self.big_d[0])
         cells = np.bincount(
             (idx * c + np.arange(c)).ravel(), minlength=2 * d * c
         ).reshape(d, 2, c)
@@ -230,59 +223,55 @@ class _Walk:
         Y += cells[:, 1] - cells[:, 0]
         self.Y[:, rows] = Y
         self.visits[rows] += (Y == 0).any(axis=0)
-        self.moves[0, 0] += cells.sum(axis=2).ravel()
+        self.moves[0] += cells.sum(axis=2).ravel()
 
     def near_block(self, rows: np.ndarray, t0: int, k: int) -> None:
-        """Advance rows by k steps one step at a time, with the site weight
-        and the cells recomputed from the zero coordinates before each step."""
-        d, lam, c = self.dim, self.lam, rows.size
+        """Advance rows by k steps one step at a time, each step with the
+        table row of its source site."""
+        d, c = self.dim, rows.size
         Y = self.Y.take(rows, axis=1)
         streams = self.streams[rows]
         lane = np.arange(c)
         visits = np.zeros(c, dtype=np.int64)
-        zero = Y == 0
+        keys = np.empty((k, c), dtype=np.int64)
+        row = move_row("reflected", Y)
         for s in range(k):
-            kap = zero.sum(axis=0)
-            threshold = _step_uniforms(streams, t0 + s) * self.site_weight[kap]
-            down = np.where(zero, 0.0, lam)
-            up = np.where(zero, 2.0, 1.0)
-            idx = _cell_index([w for pair in zip(down, up) for w in pair], threshold)
-            coord = idx >> 1
-            self.moves += np.bincount(
-                (kap * 2 + zero[coord, lane]) * (2 * d) + idx,
-                minlength=self.moves.size,
-            ).reshape(self.moves.shape)
-            for i in range(d):
-                self.zeros[i] += np.bincount(kap[zero[i]], minlength=d + 1)
-            Y[coord, lane] += ((idx & 1) << 1) - 1
-            zero = Y == 0
-            visits += zero.any(axis=0)
+            idx = self.cell_index(row, _step_uniforms(streams, t0 + s) * self.big_d[row])
+            keys[s] = row * (2 * d) + idx
+            Y[idx >> 1, lane] += ((idx & 1) << 1) - 1
+            row = move_row("reflected", Y)
+            visits += row > 0
             if self.history is not None:
                 self.history[t0 + s + 1, rows] = Y.T
         self.Y[:, rows] = Y
         self.visits[rows] += visits
+        self.moves += np.bincount(keys.ravel(), minlength=self.moves.size).reshape(-1, 2 * d)
 
     def martingale_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Sums over all (path, step) pairs of xi = delta - f and xi**2 per
         coordinate, taken from the tallies in one fixed order with
         math.fsum, so they do not depend on how paths were grouped into
         blocks and chunks."""
-        d, lam = self.dim, self.lam
+        d = self.dim
+        # zero[r, i]: coordinate i is zero at the sites of row r
+        zero = (np.arange(len(self.moves))[:, None] >> np.arange(d)) & 1
+        down, up = self.moves[:, 0::2], self.moves[:, 1::2]
+        stay = self.moves.sum(axis=1)[:, None] - down - up
         # tally[kap, z, delta + 1, i]: pairs with kap zero coordinates at the
         # source, coordinate i zero there (z = 1) or not, and move delta on i
-        down, up = self.moves[:, :, 0::2], self.moves[:, :, 1::2]
-        zeros = self.zeros.T
-        sites = self.moves.sum(axis=(1, 2))
-        at = np.stack([sites[:, None] - zeros, zeros], axis=1)
-        tally = np.stack([down, at - down - up, up], axis=2)
+        tally = np.zeros((d + 1, 2, 3, d), dtype=np.int64)
+        for j, count in enumerate((down, stay, up)):
+            np.add.at(tally, (zero.sum(axis=1, keepdims=True), zero, j, np.arange(d)), count)
+        # the drift f_i = (up - down) / D at the source: its numerator off
+        # (row 0) and on (last row) the hyperplane of coordinate i; D by kap
+        rise = self.widths[[0, -1], 1] - self.widths[[0, -1], 0]
+        big_d = self.big_d[(1 << np.arange(d + 1)) - 1]
         xi_sum, xi_sumsq = np.zeros(d), np.zeros(d)
         for i in range(d):
             terms, squares = [], []
             for (kap, z, j), count in np.ndenumerate(tally[..., i]):
                 if count:
-                    # drift f_i at the source site
-                    f = (2.0 if z else 1.0 - lam) / self.site_weight[kap]
-                    xi = (j - 1) - f
+                    xi = (j - 1) - rise[z] / big_d[kap]
                     terms.append(int(count) * xi)
                     squares.append(int(count) * (xi * xi))
             xi_sum[i] = math.fsum(terms)
@@ -306,6 +295,8 @@ def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
         raise ResourceBudgetError(
             f"history needs {(n + 1) * m * d} elements, budget is {max_elements}"
         )
+    if d > _MAX_DIM:
+        raise ResourceBudgetError(f"simulation supports dim <= {_MAX_DIM}, got {d}")
     walk = _Walk(plan, keep_path)
     # Rows per chunk within the budget: the largest array a block makes,
     # the far rows' per-step moves, holds _BLOCK * d elements per row.

@@ -4,6 +4,8 @@ Each test drives ``cli.main`` in process with an argv list and inspects
 exit status, the artifact (stdout or --out file), and the summary line.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biasedwalk
 from biasedwalk import cli, exact, ldp
@@ -487,6 +491,80 @@ def test_rate_grid_csv_d2_shape(capsys):
     assert inside[0] == outside[0] == "x1,x2,rate,class,kkt_residual"
     assert len(inside) == len(outside) == 2
     assert outside[1].split(",")[3] == "outside"
+
+
+# ---------------------------------------------------------------------------
+# failure shape under mangled arguments
+# ---------------------------------------------------------------------------
+
+_MODEL = [("--dim", "2"), ("--lambda", "0.5")]
+_SMALL_BATCH = _MODEL + [("--steps", "5"), ("--paths", "3")]
+_PATH1 = str(Path(__file__).parent / "golden" / "inputs" / "path1.json")
+
+# A valid invocation of every subcommand at small sizes, as (flag, value)
+# pairs.
+_VALID = {
+    "simulate": _SMALL_BATCH + [("--start", "1,0")],
+    "speed": _SMALL_BATCH,
+    "clt": _SMALL_BATCH,
+    "martingale": _SMALL_BATCH,
+    "boundary": _SMALL_BATCH,
+    "mgf": _MODEL + [("--s", "0.1,-0.2"), ("--n-list", "2,3")],
+    "return-prob": _MODEL + [("--n-max", "4")],
+    "ballot": _MODEL + [("--n", "5"), ("--alpha", "1"), ("--beta", "2")],
+    "dominate": _MODEL + [("--mode", "lower"), ("--n-max", "2"), ("--start", "1,2")],
+    "rate-fn": _MODEL + [("--x", "0.2,0.3")],
+    "matrix-check": _MODEL,
+    "path-rate": [("--dim", "1"), ("--lambda", "0.25"), ("--path", _PATH1)],
+    "ldp-consistency": [("--dim", "1"), ("--lambda", "0.25"), ("--a", "0.5"),
+                        ("--n-list", "4,6")],
+}
+
+# Flags whose value sets the amount of work; they only get small values,
+# so that every example runs in well under a second.
+_SIZES = {"--steps", "--paths", "--n", "--n-max", "--n-list", "--grid"}
+
+
+@st.composite
+def _mangled_argv(draw):
+    """A valid invocation with one or two of its values replaced by NaN,
+    +-inf, an empty or '-' token, a huge integer, a small integer or a list
+    of the wrong length, or with one of its flags dropped."""
+    command = draw(st.sampled_from(sorted(_VALID)))
+    pairs = list(_VALID[command])
+    if command == "rate-fn" and draw(st.booleans()):
+        pairs[-1] = ("--grid", "3")
+    for _ in range(draw(st.integers(1, 2))):
+        if not pairs:
+            break
+        k = draw(st.integers(0, len(pairs) - 1))
+        flag, value = pairs[k]
+        first = value.split(",")[0]
+        values = ["nan", "inf", "-inf", "", "-", "1e308", *map(str, range(-1, 5)),
+                  first, f"{value},{first}"]
+        if flag not in _SIZES:
+            values.append("9" * 30)
+        choice = draw(st.sampled_from(values + [None]))
+        if choice is None:
+            del pairs[k]
+        else:
+            pairs[k] = (flag, choice)
+    return [command] + [token for pair in pairs for token in pair]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_mangled_argv())
+def test_mangled_arguments_fail_with_one_error_line(argv):
+    # any such argv either succeeds, or fails with status 1 or 2, one
+    # error line on stderr, nothing on stdout and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,9 @@ def _reference_evolve(shape, start_idx, axis_weights, n, snapshot=None):
 
 
 _FAMILIES = {
-    "reflected": (exact._reflected_weights, True),
-    "signed": (exact._signed_weights, False),
-    "drifted": (exact._drifted_weights, False),
+    walk: (lambda p, coords, walk=walk: exact._move_weights(p, walk, coords),
+           walk == "reflected")
+    for walk in ("reflected", "signed", "drifted")
 }
 
 
@@ -216,10 +216,11 @@ def test_reachable_sweep_matches_full_box_reference(d, lam, data, family):
 def test_reachable_sweep_peak_memory():
     # a d=3 sweep keeps its tables over the reachable cells only: the whole
     # box costs one int32 array and the returned support array
-    exact._reflected(ModelParams(3, 0.5), (0, 0, 0), 2, exact.DEFAULT_MAX_CELLS)
+    exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), 2, exact.DEFAULT_MAX_CELLS)
     tracemalloc.start()
     try:
-        exact._reflected(ModelParams(3, 0.5), (0, 0, 0), 100, exact.DEFAULT_MAX_CELLS)
+        exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), 100,
+                     exact.DEFAULT_MAX_CELLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

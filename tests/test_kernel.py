@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from biasedwalk import (
     kappa,
     reflected_kernel,
 )
+from biasedwalk.exact import enumerate_oracle, fold_to_orthant
+from biasedwalk.kernel import move_row, move_table
 
 LAMBDAS = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9]
 
@@ -207,3 +210,42 @@ def test_kernel_mass_property(d, lam, data):
     assert math.isclose(sum(refl.values()), 1.0, abs_tol=1e-12)
     dz = drifted_kernel(p, v)
     assert math.isclose(sum(dz.values()), 1.0, abs_tol=1e-12)
+
+
+@given(
+    d=st.integers(1, 4),
+    lam=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_move_table_matches_rational_oracle(d, lam):
+    # Every row of every walk's table against the one-step law of
+    # enumerate_oracle, whose Fraction kernel is coded apart from the table:
+    # the signed walk at each sign pattern, the reflected chain at each zero
+    # pattern (the oracle's law folded onto the orthant), and the drifted
+    # walk, which moves as the signed walk does off every hyperplane.  The
+    # table's D rounds at most twice and the division once, so each
+    # probability is within 3 units of rounding of the exact one, or half
+    # the least subnormal below it.
+    p = ModelParams(d, lam)
+    sites = {
+        "signed": [(v, enumerate_oracle(p, v, 1))
+                   for v in itertools.product((-1, 0, 1), repeat=d)],
+        "reflected": [(y, fold_to_orthant(enumerate_oracle(p, y, 1)))
+                      for y in itertools.product((0, 1), repeat=d)],
+        "drifted": [((1,) * d, enumerate_oracle(p, (1,) * d, 1))],
+    }
+    for walk, cases in sites.items():
+        widths, big_d = move_table(p, walk)
+        assert len(widths) == len(cases)
+        for v, law in cases:
+            row = move_row(walk, v)
+            for j in range(2 * d):
+                i = j >> 1
+                target = v[:i] + (v[i] + (j & 1) * 2 - 1,) + v[i + 1:]
+                want = law.get(target, Fraction(0))
+                got = Fraction(float(widths[row, j] / big_d[row]))
+                assert abs(got - want) <= 3 * want / 2**53 + Fraction(1, 2**1075), (
+                    walk, v, j, float(got), float(want))

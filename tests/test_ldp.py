@@ -93,6 +93,54 @@ def test_log_psi_at_huge_tilts_is_finite_and_quiet():
     assert ldp.log_psi(q, [-1e308, 0.1]) == pytest.approx(0.1 - math.log(2), rel=1e-15)
 
 
+def _reference_log_psi(p, s):
+    """ln psi(s) from its per-coordinate summands: each is formed in logs
+    around its larger exponent, and the exponentials are summed with
+    math.fsum."""
+    d, lam = p.dim, p.lam
+    terms = []
+    for c in s:
+        if lam > 0 and c < p.s0:
+            terms.append(math.log(p.rho) - math.log(d))
+            continue
+        pair = [c, math.log(lam) - c] if lam > 0 else [c]
+        top = max(pair)
+        terms.append(top + math.log(math.fsum(math.exp(a - top) for a in pair))
+                     - math.log(d) - math.log1p(lam))
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    lam=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    tilt=st.lists(
+        st.one_of(
+            st.floats(-1e308, 1e308),
+            st.floats(-50.0, 50.0),
+            st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, "kink"]),
+        ),
+        min_size=4, max_size=4,
+    ),
+)
+def test_log_psi_wide_tilts_match_fsum_reference(d, lam, tilt):
+    # any finite tilt, huge, subnormal, of mixed signs or at the kink s0:
+    # a finite value close to the reference, with no warning
+    p = ModelParams(d, lam)
+    kink = p.s0 if lam > 0 else -1e308
+    s = [kink if c == "kink" else c for c in tilt[:d]]
+    ref = _reference_log_psi(p, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ldp.log_psi(p, s)
+    assert math.isfinite(value) and math.isfinite(ref), (value, ref)
+    assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref)), (value, ref)
+
+
 @given(
     d=st.integers(1, 4),
     lam=st.floats(0.01, 0.95),
@@ -220,6 +268,8 @@ def test_rate_outside_iff_infinite():
         ([0.3, 0.3], False),
         ([0.0, 0.0], False),
         ([0.5, 0.5], False),
+        # a total beyond double range
+        ([1e308, 1e308], True),
     ]
     for x, outside in cases:
         res = ldp.rate_function(p, x)
@@ -472,6 +522,11 @@ def test_path_leaving_domain_costs_infinity():
         times=(0.0, 0.5, 1.0), values=((0.0,), (0.6,), (0.7,))
     )
     assert math.isinf(ldp.path_rate_functional(P1, fast))
+    # a slope beyond double range, over a segment of duration 1e-300
+    steep = ldp.PiecewiseLinearPath(
+        times=(0.0, 1e-300, 1.0), values=((0.0,), (1e10,), (1e10,))
+    )
+    assert math.isinf(ldp.path_rate_functional(P1, steep))
     # at lam = 0 any segment whose slope leaves the simplex is infinite
     p = ModelParams(2, 0.0)
     bent = ldp.PiecewiseLinearPath(
@@ -503,6 +558,10 @@ def test_path_validation():
         ldp.PiecewiseLinearPath(times=(0.0, 1.0), values=((0.0,), (-0.2,)))
     with pytest.raises(ValueError):
         ldp.PiecewiseLinearPath(times=(0.0, 1.0), values=((0.0,), (0.1, 0.2)))
+    with pytest.raises(ValueError):
+        ldp.PiecewiseLinearPath(times=(0.0, math.nan, 1.0), values=((0.0,),) * 3)
+    with pytest.raises(ValueError):
+        ldp.PiecewiseLinearPath(times=(0.0, 1.0), values=((0.0,), (math.inf,)))
     path = ldp.PiecewiseLinearPath(times=(0.0, 1.0), values=((0.0, 0.0), (0.1, 0.1)))
     with pytest.raises(ValueError):
         ldp.path_rate_functional(P1, path)
