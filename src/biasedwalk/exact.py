@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ResourceBudgetError
 from .kernel import ModelParams, State, kappa, move_row, move_table
@@ -99,18 +98,14 @@ def _evolve(
     along every axis, and the box index of its first cell.  snapshot(k,
     values, cells) sees each step's values in level order, together with
     the box indices of their cells, one array per axis; later steps
-    overwrite the values.  Indices are int32, so the box, framed by one
-    cell on every side, must hold fewer than 2**31 cells.
+    overwrite the values.  Indices are int32, so the box must hold fewer
+    than 2**31 cells.
     """
     dim = len(shape)
-    # distances from the start over the box in a frame one cell wide, whose
-    # cells are put beyond n, so that no source index leaves the array
-    framed = tuple(s + 2 for s in shape)
+    # distances from the start over the box
     dist = 0
     for i, (s, a) in enumerate(zip(shape, start_idx)):
-        axis = np.abs(np.arange(-1, s + 1, dtype=np.int32) - a)
-        axis[0] = axis[-1] = n + 1
-        dist = dist + _axis_view(axis, dim, i)
+        dist = dist + _axis_view(np.abs(np.arange(s, dtype=np.int32) - a), dim, i)
     dist = dist.ravel()
     kept = np.flatnonzero(dist <= n)
     level = dist[kept]
@@ -130,8 +125,8 @@ def _evolve(
     pos.fill(-1)
     for a, b in zip(ends, ends[1:]):
         pos[kept[a:b]] = np.arange(b - a, dtype=np.int32)
-    strides = [math.prod(framed[i + 1:]) for i in range(dim)]
-    coords = tuple(kept // stride % side - 1 for stride, side in zip(strides, framed))
+    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
+    coords = tuple(kept // stride % side for stride, side in zip(strides, shape))
     # tables[b]: per move, each block-b cell's source in the other block and
     # the move's probability there, tabled one move at a time so that only
     # one move's weights are ever spread over the cells.  They are spread
@@ -144,7 +139,10 @@ def _evolve(
         for step, w in zip((1, -1), pair):
             if w is None:
                 continue
-            src = pos[kept - step * strides[i]]
+            # the source is the pad where it leaves the box
+            inside = coords[i] != (0 if step == 1 else shape[i] - 1)
+            src = np.full(kept.size, -1, dtype=np.int32)
+            src[inside] = pos[kept[inside] - step * strides[i]]
             spread = np.zeros(kept.size + 2)
             spread[slots] = w
             for b, o in ((0, 1), (1, 0)):
@@ -357,6 +355,27 @@ def enumerate_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) of a 1-d float array.  The m maximal terms are
+    pulled out of the shifted sum s, which is divided by m unless it is 0,
+    and the value is log1p(s) + log(m) + a_max; where that is not finite
+    (an infinite or NaN term, or every term -inf) it is log(sum(exp(a))).
+    The steps are written out here, not taken from a library whose
+    log-sum-exp has changed between versions, so that the mgf artifacts
+    do not depend on what is installed.  Never warns."""
+    with np.errstate(all="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.float64(np.count_nonzero(top))
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        value = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(value):
+            value = np.log(np.sum(np.exp(a)))
+    return float(value)
+
+
 def log_mgf(
     p: ModelParams,
     start: State,
@@ -390,7 +409,7 @@ def log_mgf(
             top = float(np.max(np.abs(s)))
             dot = sum((s[i] / top) * cells[i] for i in range(p.dim))
             terms = logs + top * dot
-        value = float(logsumexp(terms))
+    value = _logsumexp(terms)
     if not math.isfinite(value):
         raise OverflowError(f"Lambda_{n}(s) for s={s.tolist()} is beyond double range")
     return value

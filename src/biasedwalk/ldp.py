@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from . import exact
 from .errors import ConvergenceError
@@ -94,8 +93,27 @@ def log_psi(p: ModelParams, s) -> float:
         terms = np.where(s < p.s0, flat, smooth)
     else:
         terms = smooth
-    with np.errstate(over="ignore"):  # logsumexp's a - a_max, not its value
-        return float(logsumexp(terms))
+    return exact._logsumexp(terms)
+
+
+def _xlogy_one(x: float, y: float) -> float:
+    # NaN first: an ordered comparison with NaN raises the invalid flag
+    if math.isnan(y):
+        return math.nan
+    if x == 0.0:
+        return 0.0
+    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
+
+
+_xlogy_loop = np.frompyfunc(_xlogy_one, 2, 1)
+
+
+def _xlogy(x, y):
+    """x ln y, and 0 where x == 0 and y is not NaN, elementwise over
+    broadcast scalars or arrays.  The log is libm's (math.log): np.log
+    differs from it in the last bit on some inputs and CPUs, and the rate
+    artifacts were recorded with libm's."""
+    return np.asarray(_xlogy_loop(x, y), dtype=float)[()]
 
 
 def psi(p: ModelParams, s) -> float:
@@ -178,7 +196,7 @@ def _rate_lam0(p: ModelParams, x: np.ndarray) -> RateResult:
     # on the simplex.  With every x_i > 0 the tilt s_i = ln(d * x_i) is a
     # finite maximizer; a zero coordinate pushes its tilt to -infinity.
     d = p.dim
-    value = max(0.0, math.log(d) + float(np.sum(xlogy(x, np.where(x > 0.0, x, 1.0)))))
+    value = max(0.0, math.log(d) + float(np.sum(_xlogy(x, np.where(x > 0.0, x, 1.0)))))
     if np.all(x > 0.0):
         s_star = np.log(d * x)
         grad = x - np.exp(s_star - log_psi(p, s_star)) / d
@@ -237,7 +255,7 @@ def rate_function(p: ModelParams, x) -> RateResult:
     r = np.hypot(x, u)
     value = max(0.0, (
         0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(p.dim)
-        + float(xlogy(1.0 - total, u)) + float(np.sum(xlogy(x, x + r)))
+        + float(_xlogy(1.0 - total, u)) + float(np.sum(_xlogy(x, x + r)))
     ))
     if face:
         return _no_maximizer(value, domain_class, at_infinity=True)
@@ -272,7 +290,7 @@ def rate_closed_form(p: ModelParams, x) -> float:
             raise ValueError("no closed form for dim=1, lam=0")
         if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError("lam=0 closed form needs x on the probability simplex")
-        return math.log(p.dim) + float(np.sum(xlogy(x, np.where(x > 0.0, x, 1.0))))
+        return math.log(p.dim) + float(np.sum(_xlogy(x, np.where(x > 0.0, x, 1.0))))
     if p.dim == 1:
         v = float(x[0])
         if not 0.0 <= v <= 1.0:
@@ -280,8 +298,8 @@ def rate_closed_form(p: ModelParams, x) -> float:
         return (
             0.5 * v * math.log(p.lam)
             - math.log(p.rho)
-            + float(xlogy(0.5 * (1.0 + v), 1.0 + v))
-            + float(xlogy(0.5 * (1.0 - v), 1.0 - v))
+            + float(_xlogy(0.5 * (1.0 + v), 1.0 + v))
+            + float(_xlogy(0.5 * (1.0 - v), 1.0 - v))
         )
     if p.dim == 2:
         if np.any(x < 0.0) or float(x.sum()) >= 1.0:
@@ -294,8 +312,8 @@ def rate_closed_form(p: ModelParams, x) -> float:
         plus, minus = x1 + x2, x1 - x2
         den = math.sqrt((1.0 - plus) * (1.0 + plus) * (1.0 - minus) * (1.0 + minus))
         bar = (
-            float(xlogy(x1, (1.0 + a + 2.0 * x1) / den))
-            + float(xlogy(x2, (1.0 - a + 2.0 * x2) / den))
+            float(_xlogy(x1, (1.0 + a + 2.0 * x1) / den))
+            + float(_xlogy(x2, (1.0 - a + 2.0 * x2) / den))
             + math.log(den)
         )
         return 0.5 * (x1 + x2) * math.log(p.lam) - math.log(p.rho) + bar

@@ -572,11 +572,36 @@ def test_mangled_arguments_fail_with_one_error_line(argv):
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # the rate function needs no general-purpose optimizer; a fresh
-    # interpreter shows whether one crept back into the import graph
+_WITHOUT_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None      # any import of scipy now raises ImportError
+from biasedwalk import cli
+for argv in (
+    ["rate-fn", "--dim", "2", "--lambda", "0.5", "--x", "0.2,0.3"],
+    ["mgf", "--dim", "2", "--lambda", "0.5", "--s", "0.1,-0.3", "--n-list", "5,10"],
+    ["ldp-consistency", "--dim", "1", "--lambda", "0.25", "--a", "0.9", "--n-list", "20"],
+    ["matrix-check", "--dim", "3", "--lambda", "0.5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code)
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # numpy is the one runtime dependency: a fresh interpreter imports the
+    # CLI without loading any part of scipy, and with scipy made
+    # unimportable the rate, mgf, consistency and matrix subcommands run
     env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
-    probe = "import sys, biasedwalk.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+
+    def fresh(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    probe = ("import sys, biasedwalk.cli; print('scipy.optimize' in sys.modules); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    optimize, loaded = fresh(probe).splitlines()
+    assert optimize == "False"
+    assert loaded == "[]"
+    assert fresh(_WITHOUT_SCIPY).split() == [
+        "rate-fn", "0", "mgf", "0", "ldp-consistency", "0", "matrix-check", "0"]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from biasedwalk import ModelParams, ResourceBudgetError, cli, exact
@@ -227,6 +228,23 @@ def test_reachable_sweep_peak_memory():
     assert peak < 40 * 2**20, peak
 
 
+@pytest.mark.parametrize("d, bound", [(10, 2**20), (12, 4 * 2**20)])
+def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, bound):
+    # one step from the origin needs a box of 2^d cells, which the budget
+    # allows; a distance array over the box framed by one cell per side
+    # would hold 4^d cells (4 MiB at d = 10, 64 MiB at d = 12)
+    p = ModelParams(d, 0.5)
+    propagate(p, (0,) * d, 1, max_cells=2**d)   # the move table is cached
+    tracemalloc.start()
+    try:
+        dist = propagate(p, (0,) * d, 1, max_cells=2**d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+    assert len(dist) == d and math.isclose(math.fsum(dist.values()), 1.0)
+
+
 @pytest.mark.parametrize("sweep, start, cells", [
     (propagate, (2, 0), 8 * 6),
     (propagate_full, (2, 0), 11 * 11),
@@ -400,6 +418,35 @@ def test_log_mgf_wide_tilts_match_fsum_reference(d, lam, n, tilt, site):
     assert math.isfinite(value) and math.isfinite(ref), (value, ref)
     tol = 1e-12 * (1.0 + abs(ref)) + n * math.fsum(1e-12 * abs(c) for c in s)
     assert abs(value - ref) <= tol, (value, ref)
+
+
+_LSE_TERM = st.one_of(
+    st.floats(),                   # any double, subnormals and +-inf included
+    st.floats(-50.0, 50.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=arrays(np.float64, st.integers(1, 2000), elements=_LSE_TERM),
+    ties=st.lists(st.integers(0, 1999), max_size=6),
+)
+@example(terms=np.full(7, -3.5), ties=[])
+@example(terms=np.array([-math.inf, -math.inf]), ties=[])
+@example(terms=np.array([1e308, 1e308, 0.0]), ties=[])
+@example(terms=np.array([math.inf, 1.0, math.nan]), ties=[])
+def test_logsumexp_matches_scipy_bit_for_bit(terms, ties):
+    # the mgf goldens were recorded with scipy 1.17's logsumexp; the local
+    # one must give its bits, NaN where it gives NaN, and never warn.  Up
+    # to six more terms are set to the maximum, so that it is tied
+    terms[[i % terms.size for i in ties]] = terms.max()
+    with np.errstate(all="ignore"):
+        want = float(logsumexp(terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exact._logsumexp(terms)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
 
 
 def test_log_mgf_convergence_checkpoint():
