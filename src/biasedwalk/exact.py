@@ -25,6 +25,8 @@ The module provides
                            propagators at small n), and ``fold_to_orthant``
                            to compare it with ``propagate``,
 - ``log_mgf``              Lambda_n(s, x) = ln E_x exp(sum_i s_i |X_n^i|),
+                           which reuses the law of the last few
+                           (lam, x, n), so a run of tilts sweeps once,
 - ``return_probability``   P(X_{2n} = 0 | X_0 = 0), and
   ``return_probability_profile`` every even horizon of it from one sweep,
 - ``ballot_counts``        exact ballot-style path counts P and Q,
@@ -36,6 +38,7 @@ The module provides
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,26 +191,28 @@ def _move_weights(p: ModelParams, walk: str, coords):
     return list(zip(probs[1::2], probs[0::2]))
 
 
-def _sweep(
-    p: ModelParams,
-    walk: str,
-    start: State,
-    n: int,
-    max_cells: int,
-    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
-) -> tuple[np.ndarray, State]:
-    """Propagate a point mass at start for n steps of the walk inside the
-    smallest box holding the reachable set: [0, start + n] for the
-    reflected chain, else [start - n, start + n].  The cell budget counts
-    the whole box, though only the cells within n of start are swept (see
-    _evolve).  Returns the final support array and the site of its first
-    cell; the cells passed to snapshot are box indices, which on the
-    orthant are the sites."""
+def _integer(x) -> bool:
+    """Whether x is an integer, a numpy one included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _box(
+    p: ModelParams, walk: str, start: State, n: int, max_cells: float
+) -> tuple[State, tuple[int, ...]]:
+    """Check the arguments of a sweep of the walk and its cell budget, and
+    return the corner and shape of its box: the smallest box holding the
+    reachable set, [0, start + n] for the reflected chain, else
+    [start - n, start + n].  The budget counts the whole box, though only
+    the cells within n of start are swept (see _evolve)."""
     orthant = walk == "reflected"
     if len(start) != p.dim:
         raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
+    if not all(_integer(c) for c in start):
+        raise ValueError(f"start must have integer coordinates, got {start}")
     if orthant and any(c < 0 for c in start):
         raise ValueError(f"start must lie in Z_+^{p.dim}, got {start}")
+    if not _integer(n):
+        raise ValueError(f"step count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     corner = (0,) * p.dim if orthant else tuple(c - n for c in start)
@@ -215,6 +220,22 @@ def _sweep(
     if math.prod(shape) > max_cells:
         raise ResourceBudgetError(f"propagation grid needs {math.prod(shape)} cells "
                                   f"(shape {shape}), budget is {max_cells}")
+    return corner, shape
+
+
+def _sweep(
+    p: ModelParams,
+    walk: str,
+    start: State,
+    n: int,
+    max_cells: float,
+    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
+) -> tuple[np.ndarray, State]:
+    """Propagate a point mass at start for n steps of the walk inside its
+    box (see _box).  Returns the final support array and the site of its
+    first cell; the cells passed to snapshot are box indices, which on the
+    orthant are the sites."""
+    corner, shape = _box(p, walk, start, n, max_cells)
     at = tuple(c - lo for c, lo in zip(start, corner))
     grid, lo = _evolve(
         shape, at,
@@ -309,10 +330,8 @@ def enumerate_oracle(
 
     Masses are Fractions and sum to exactly 1.
     """
-    if len(start) != p.dim:
-        raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    # the arguments of a signed sweep, with no cell budget
+    _box(p, "signed", start, n, math.inf)
     if (2 * p.dim) ** n > max_paths:
         raise ResourceBudgetError(
             f"enumeration would visit up to {(2 * p.dim) ** n} paths, "
@@ -376,6 +395,24 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(value)
 
 
+@lru_cache(maxsize=4)
+def _log_law(
+    p: ModelParams, start: State, n: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The tilt-independent part of log_mgf: ln of the nonzero masses of
+    the n-step reflected law from start, in C order of their sites, and
+    those sites, an int32 array per axis.  Kept for the last few (p, start,
+    n), so that a run of tilts sweeps once; the caller has checked the
+    arguments and the budget.  The arrays are read-only."""
+    grid, corner = _sweep(p, "reflected", start, n, math.inf)
+    nz = np.nonzero(grid)
+    sites = tuple((i + c).astype(np.int32) for i, c in zip(nz, corner))
+    logs = np.log(grid[nz])
+    for a in (logs, *sites):
+        a.flags.writeable = False
+    return logs, sites
+
+
 def log_mgf(
     p: ModelParams,
     start: State,
@@ -387,27 +424,27 @@ def log_mgf(
     """Lambda_n(s, start) = ln E_start[exp(sum_i s_i |X_n^i|)].
 
     Computed from the exact reflected law with log-space accumulation, so
-    large positive s at large n cannot overflow.
+    large positive s at large n cannot overflow.  The law of the last few
+    (p, start, n) is kept, so further tilts at them cost no sweep.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (p.dim,):
         raise ValueError(f"s must have shape ({p.dim},), got {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError(f"s must be finite, got {s.tolist()}")
-    grid, corner = _sweep(p, "reflected", start, n, max_cells)
-    nz = np.nonzero(grid)
-    cells = [nz[i] + corner[i] for i in range(p.dim)]
-    logs = np.log(grid[nz])
+    # checked before the lookup, so a kept law never escapes a smaller budget
+    _box(p, "reflected", start, n, max_cells)
+    logs, sites = _log_law(p, tuple(int(c) for c in start), int(n))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = logs
         for i in range(p.dim):
-            terms = terms + s[i] * cells[i]
+            terms = terms + s[i] * sites[i]
         if not np.isfinite(terms).all():
             # a product s_i y_i overflowed, perhaps against one of the other
             # sign, though s.y itself may be in range: sum the tilt scaled by
             # max |s_i| first, then scale back
             top = float(np.max(np.abs(s)))
-            dot = sum((s[i] / top) * cells[i] for i in range(p.dim))
+            dot = sum((s[i] / top) * sites[i] for i in range(p.dim))
             terms = logs + top * dot
     value = _logsumexp(terms)
     if not math.isfinite(value):

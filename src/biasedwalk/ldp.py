@@ -454,6 +454,9 @@ def ldp_consistency(
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold a must lie in [0, 1], got {a!r}")
+    n_values = list(n_values)
+    if not all(exact._integer(n) for n in n_values):
+        raise ValueError(f"horizons must be integers, got {n_values}")
     horizons = sorted(int(n) for n in n_values)
     if horizons and horizons[0] < 1:
         raise ValueError("horizons must be positive")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -245,23 +246,59 @@ def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, bound):
     assert len(dist) == d and math.isclose(math.fsum(dist.values()), 1.0)
 
 
+def _tilted_log_mgf(p, start, n, **kwargs):
+    return log_mgf(p, start, n, (0.3, -0.2), **kwargs)
+
+
 @pytest.mark.parametrize("sweep, start, cells", [
     (propagate, (2, 0), 8 * 6),
     (propagate_full, (2, 0), 11 * 11),
     (propagate_drifted, (1, 1), 11 * 11),
+    (_tilted_log_mgf, (2, 0), 8 * 6),
 ])
 def test_budget_counts_the_full_box_before_sweeping(sweep, start, cells, monkeypatch):
     # the support is far smaller than the box for most of the sweep, but
-    # the budget still counts the box, and is checked before any step
+    # the budget still counts the box, and is checked before any step.
+    # log_mgf keeps the law it swept at the default budget, and that law
+    # must not get round a smaller one
     p = ModelParams(2, 0.5)
-    assert sweep(p, start, 5, max_cells=cells)
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept a request over budget")
 
     monkeypatch.setattr(exact, "_evolve", no_sweep)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match=rf"needs {cells} cells .* is {cells - 1}$") as cold:
         sweep(p, start, 5, max_cells=cells - 1)
+    monkeypatch.undo()
+    assert sweep(p, start, 5)
+    assert sweep(p, start, 5, max_cells=cells)
+    monkeypatch.setattr(exact, "_evolve", no_sweep)
+    if sweep is _tilted_log_mgf:
+        # the kept law answers within the budget, with no sweep
+        assert sweep(p, start, 5, max_cells=cells)
+    with pytest.raises(ResourceBudgetError) as warm:
+        sweep(p, start, 5, max_cells=cells - 1)
+    assert str(warm.value) == str(cold.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: log_mgf(p, (0, 0), 3.0, (0.1, 0.2)), "step count must be an integer, got 3.0"),
+    (lambda p: propagate(p, (0, 0), 2.0), "step count must be an integer, got 2.0"),
+    (lambda p: propagate_full(p, (0, 0), True), "step count must be an integer, got True"),
+    (lambda p: return_probability(p, 2.0), "step count must be an integer, got 2.0"),
+    (lambda p: propagate(p, (0.5, 0), 2), "start must have integer coordinates"),
+    (lambda p: propagate_drifted(p, (0, 1.0), 2), "start must have integer coordinates"),
+    (lambda p: log_mgf(p, (True, 0), 2, (0.1, 0.2)), "start must have integer coordinates"),
+    (lambda p: enumerate_oracle(p, (0, 0), 2.5), "step count must be an integer, got 2.5"),
+    (lambda p: enumerate_oracle(p, (0.5, 0), 2), "start must have integer coordinates"),
+])
+def test_exact_rejects_non_integer_steps_and_starts(call, message):
+    # 3.0 hashes like 3, so a law kept for n = 3 must not answer n = 3.0
+    p = ModelParams(2, 0.5)
+    assert math.isfinite(log_mgf(p, (0, 0), 3, (0.1, 0.2)))
+    assert math.isfinite(log_mgf(p, (1, 0), 2, (0.1, 0.2)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(p)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +455,57 @@ def test_log_mgf_wide_tilts_match_fsum_reference(d, lam, n, tilt, site):
     assert math.isfinite(value) and math.isfinite(ref), (value, ref)
     tol = 1e-12 * (1.0 + abs(ref)) + n * math.fsum(1e-12 * abs(c) for c in s)
     assert abs(value - ref) <= tol, (value, ref)
+
+
+def _outcome(p, start, n, s):
+    """log_mgf's value as its bits, or its OverflowError message."""
+    try:
+        return log_mgf(p, start, n, s).hex()
+    except OverflowError as err:
+        return str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    lam=st.one_of(st.sampled_from([0.0, 1 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True)),
+    n=st.integers(0, 30),
+    site=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    tilts=st.lists(st.lists(_TILT, min_size=3, max_size=3), min_size=2, max_size=5),
+    others=st.lists(st.sampled_from(["n", "n + 2", "lam", "start"]), max_size=6),
+)
+@example(d=2, lam=0.5, n=1, site=[3, 0, 0], others=["lam", "n", "start", "n + 2"],
+         tilts=[[-6e307, 7e307, 0.0], [1e308, -1e308, 0.0], [0.5, 0.25, 0.0]])
+def test_log_mgf_kept_law_gives_the_swept_bits(d, lam, n, site, tilts, others):
+    # each tilt read from a kept law gives the bits of a fresh sweep, on the
+    # rescaled overflow path too.  Between the reads, laws are kept whose
+    # keys differ from (p, start, n) in one part, so that a key missing that
+    # part shows, and the memo fills up and evicts; never more than three,
+    # so that (p, start, n) stays kept
+    p, start = ModelParams(d, lam), tuple(site[:d])
+    near = {
+        "n": (p, start, n + 1),
+        "n + 2": (p, start, n + 2),
+        "lam": (ModelParams(d, 0.25 if lam == 0.5 else 0.5), start, n),
+        "start": (p, (start[0] + 1, *start[1:]), n),
+    }
+    swept = []
+    for s in tilts:
+        exact._log_law.cache_clear()
+        swept.append(_outcome(p, start, n, s[:d]))
+    exact._log_law.cache_clear()
+    for i, (s, value) in enumerate(zip(tilts, swept)):
+        for other in others[i::len(tilts)]:
+            _outcome(*near[other], s[:d])
+        assert _outcome(p, start, n, s[:d]) == value
+        info = exact._log_law.cache_info()
+        assert info.currsize <= info.maxsize
+    assert info.hits >= len(tilts) - 1
+    logs, sites = exact._log_law(p, start, n)
+    assert all(a.dtype == np.int32 for a in sites)
+    for a in (logs, *sites):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 _LSE_TERM = st.one_of(

@@ -681,6 +681,10 @@ def test_consistency_validation():
         ldp.ldp_consistency(P1, -0.1, [10])
     with pytest.raises(ValueError):
         ldp.ldp_consistency(P1, 0.9, [0])
+    # a horizon is never truncated to an integer, nor read from a bool
+    for horizons in ([10.5], [10, 20.0], [True]):
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            ldp.ldp_consistency(P1, 0.9, horizons)
 
 
 def test_consistency_row_dict_keys(capsys):
