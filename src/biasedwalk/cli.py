@@ -151,12 +151,6 @@ class _Command:
     run: object               # cfg dict -> (payload, csv header, csv rows, summary)
     help: str
 
-    @property
-    def all_opts(self) -> tuple[_Opt, ...]:
-        """The shared options, each replaced by the command's own option of
-        the same key, then the command's other options."""
-        return tuple({opt.key: opt for opt in SHARED_OPTS + self.opts}.values())
-
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
@@ -180,7 +174,7 @@ def _merge(command: _Command, args: argparse.Namespace) -> dict:
     default; flag and file text go through the same parse."""
     file_values = _load_config_file(args.config) if args.config else {}
     cfg: dict = {"command": command.name, "out": args.out}
-    for opt in command.all_opts:
+    for opt in SHARED_OPTS + command.opts:
         text = getattr(args, opt.dest)
         if text is None:
             text = file_values.get(opt.key)
@@ -251,7 +245,7 @@ def _render_artifact(command: _Command, cfg: dict, payload: dict, header: list[s
     """The artifact in the requested format only: the payload as JSON, or
     the rows as a CSV table; both carry the effective configuration."""
     echo = {"command": cfg["command"]}
-    echo.update((opt.key, cfg[opt.dest]) for opt in command.all_opts)
+    echo.update((opt.key, cfg[opt.dest]) for opt in SHARED_OPTS + command.opts)
     if cfg["format"] == "json":
         body = {"config": echo, **payload}
         return json.dumps(_jsonable(body), indent=2, sort_keys=True,
@@ -411,11 +405,8 @@ def _run_dominate(cfg: dict):
     upper = cfg["mode"] == "upper"
     if upper and cfg.get("start") is not None:
         raise CliError("dominate: --start applies only to --mode lower")
-    reports = [
-        exact.check_domination_upper(p, n) if upper
-        else exact.check_domination_lower(p, _start(cfg, (1,) * p.dim), n)
-        for n in range(1, cfg["n_max"] + 1)
-    ]
+    reports = exact.domination_profile(p, cfg["mode"], cfg["n_max"],
+                                       start=_start(cfg, None))
     records = [{k: v for k, v in asdict(r).items() if v is not None} for r in reports]
     if upper:
         header = ["n", "cells_checked", "max_violation"]
@@ -601,7 +592,6 @@ _COMMANDS = {
         _Command(
             "ldp-consistency",
             (
-                _Opt("dim", "int", lo=1, hi=2, help="lattice dimension d, 1 or 2"),
                 _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"),
                 _N_LIST,
             ),
@@ -617,7 +607,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command in _COMMANDS.values():
         sp = sub.add_parser(command.name, help=command.help)
-        for opt in command.all_opts + PLUMBING_OPTS:
+        for opt in SHARED_OPTS + command.opts + PLUMBING_OPTS:
             if opt.kind == "bool":
                 sp.add_argument(opt.flag, dest=opt.dest, action="store_const",
                                 const=True, default=None, help=opt.help)

@@ -10,10 +10,11 @@ probabilities from.
 The sweep keeps only the box cells within L1 distance n of x, in two
 parity blocks ordered by distance, and step k updates only the cells
 within distance k whose distance has the parity of k: the reachable set.
-It gives the same bits as updating the whole box.  Truncating would
-silently void the inequality checks, so none is performed; requests whose
-whole box would exceed the configured cell budget raise
-ResourceBudgetError instead, before any step.
+It gives the same bits as updating the whole box, and yields a reading
+after every step, so a reader of many horizons needs one sweep.
+Truncating would silently void the inequality checks, so none is
+performed; requests whose whole box would exceed the configured cell
+budget raise ResourceBudgetError instead, at the call, before any step.
 
 The module provides
 
@@ -32,7 +33,9 @@ The module provides
 - ``ballot_counts``        exact ballot-style path counts P and Q,
 - ``check_domination_*``   exhaustive verification that the drifted walk
                            dominates the biased walk from above, and from
-                           below up to the factor n^{-d}.
+                           below up to the factor n^{-d}, and
+  ``domination_profile``   either check at every horizon from one sweep of
+                           each walk.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,9 +78,9 @@ def _evolve(
     start_idx: tuple[int, ...],
     weights: Callable[[tuple[np.ndarray, ...]], list[tuple[object, object]]],
     n: int,
-    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Push a point mass through n steps of a nearest-neighbour kernel.
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Push a point mass through n steps of a nearest-neighbour kernel,
+    yielding a reading after each step k = 0, 1, ..., n.
 
     weights(cells) gives, for the cells whose box indices along each axis
     are the 1-d arrays in cells, the per-axis pairs (w_up, w_down): the
@@ -97,12 +100,11 @@ def _evolve(
     as in a sweep of the whole box; the terms skipped are exact zeros, and
     the values are bit-identical to it.
 
-    Returns the support array, the part of the box within n of the start
-    along every axis, and the box index of its first cell.  snapshot(k,
-    values, cells) sees each step's values in level order, together with
-    the box indices of their cells, one array per axis; later steps
-    overwrite the values.  Indices are int32, so the box must hold fewer
-    than 2**31 cells.
+    A reading is step k's values in level order, the start first, and the
+    box indices of their cells, an int32 array per axis (see _site_order
+    for C order).  Step k + 2 overwrites the values, so a reader takes what
+    it needs before it asks for more.  The box must hold fewer than 2**31
+    cells.  The tables are built at the first reading, not at the call.
     """
     dim = len(shape)
     # distances from the start over the box
@@ -157,8 +159,7 @@ def _evolve(
     P[0][0] = 1.0
     cells = [tuple(c[a:b] for c in coords) for a, b in zip(ends, ends[1:])]
     term = np.empty(max(sizes))
-    if snapshot is not None:
-        snapshot(0, P[0][:1], tuple(c[:1] for c in cells[0]))
+    yield P[0][:1], tuple(c[:1] for c in cells[0])
     for k in range(1, n + 1):
         b = k % 2
         m = reach[b][k]
@@ -170,14 +171,17 @@ def _evolve(
             src.take(idx[:m], out=buf, mode="wrap")
             buf *= w[:m]
             out += buf
-        if snapshot is not None:
-            snapshot(k, out, tuple(c[:m] for c in cells[b]))
-    b, m = n % 2, reach[n % 2][n]
-    lo = tuple(max(a - n, 0) for a in start_idx)
-    hi = tuple(min(a + n + 1, s) for a, s in zip(start_idx, shape))
-    support = np.zeros(tuple(h - a for a, h in zip(lo, hi)))
-    support[tuple(c[:m] - a for c, a in zip(cells[b], lo))] = P[b][:m]
-    return support, lo
+        yield out, tuple(c[:m] for c in cells[b])
+
+
+def _site_order(values, cells, corner) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The nonzero values of a reading in C order of their sites, and those
+    sites, the cells shifted by the box's corner, an array per axis."""
+    keep = values != 0.0
+    cells = tuple(c[keep] for c in cells)
+    dims = [int(c.max(initial=0)) + 1 for c in cells]
+    order = np.argsort(np.ravel_multi_index(cells, dims))
+    return values[keep][order], tuple(c[order] + lo for c, lo in zip(cells, corner))
 
 
 def _move_weights(p: ModelParams, walk: str, coords):
@@ -224,32 +228,27 @@ def _box(
 
 
 def _sweep(
-    p: ModelParams,
-    walk: str,
-    start: State,
-    n: int,
-    max_cells: float,
-    snapshot: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None] | None = None,
-) -> tuple[np.ndarray, State]:
-    """Propagate a point mass at start for n steps of the walk inside its
-    box (see _box).  Returns the final support array and the site of its
-    first cell; the cells passed to snapshot are box indices, which on the
-    orthant are the sites."""
+    p: ModelParams, walk: str, start: State, n: int, max_cells: float
+) -> tuple[State, Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]]:
+    """Check the arguments and budget of a sweep of the walk from start
+    (see _box), then return the site of its box's first cell and the
+    readings of its n steps (see _evolve).  Their cells are box indices,
+    which on the orthant are the sites."""
     corner, shape = _box(p, walk, start, n, max_cells)
     at = tuple(c - lo for c, lo in zip(start, corner))
-    grid, lo = _evolve(
+    return corner, _evolve(
         shape, at,
-        lambda cells: _move_weights(p, walk, [c + i for c, i in zip(corner, cells)]),
-        n, snapshot,
+        lambda cells: _move_weights(p, walk, [c + i for c, i in zip(corner, cells)]), n,
     )
-    return grid, tuple(a + b for a, b in zip(corner, lo))
 
 
-def _law(grid: np.ndarray, corner: State) -> SparseDistribution:
-    """The nonzero cells of a grid, keyed by lattice site."""
-    idx = np.nonzero(grid)
-    sites = zip(*((i + lo).tolist() for i, lo in zip(idx, corner)))
-    return dict(zip(sites, grid[idx].tolist()))
+def _law(p, walk, start, n, max_cells) -> SparseDistribution:
+    """The n-step law of the walk from start, keyed by lattice site in C
+    order."""
+    corner, readings = _sweep(p, walk, start, n, max_cells)
+    *_, last = readings
+    values, sites = _site_order(*last, corner)
+    return dict(zip(zip(*(c.tolist() for c in sites)), values.tolist()))
 
 
 def propagate(
@@ -264,7 +263,7 @@ def propagate(
     Support is contained in {y in Z_+^d : sum(y) <= sum(start) + n, with
     sum(y) = sum(start) + n (mod 2)}; total mass is 1 up to rounding.
     """
-    return _law(*_sweep(p, "reflected", start, n, max_cells))
+    return _law(p, "reflected", start, n, max_cells)
 
 
 def propagate_full(
@@ -280,7 +279,7 @@ def propagate_full(
     reflected law by redistributing over sign patterns is wrong in general,
     so the full chain is propagated directly.
     """
-    return _law(*_sweep(p, "signed", start, n, max_cells))
+    return _law(p, "signed", start, n, max_cells)
 
 
 def propagate_drifted(
@@ -295,7 +294,7 @@ def propagate_drifted(
     Z steps +e_i with probability 1/(d(1+lam)) and -e_i with probability
     lam/(d(1+lam)) regardless of position.
     """
-    return _law(*_sweep(p, "drifted", start, n, max_cells))
+    return _law(p, "drifted", start, n, max_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +403,10 @@ def _log_law(
     those sites, an int32 array per axis.  Kept for the last few (p, start,
     n), so that a run of tilts sweeps once; the caller has checked the
     arguments and the budget.  The arrays are read-only."""
-    grid, corner = _sweep(p, "reflected", start, n, math.inf)
-    nz = np.nonzero(grid)
-    sites = tuple((i + c).astype(np.int32) for i, c in zip(nz, corner))
-    logs = np.log(grid[nz])
+    corner, readings = _sweep(p, "reflected", start, n, math.inf)
+    *_, last = readings
+    values, sites = _site_order(*last, corner)
+    logs = np.log(values)
     for a in (logs, *sites):
         a.flags.writeable = False
     return logs, sites
@@ -465,9 +464,10 @@ def return_probability(
     """
     if horizon < 0 or horizon % 2:
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
-    origin = (0,) * p.dim
-    # a sweep from the origin keeps the origin as its support's first cell
-    return float(_sweep(p, "reflected", origin, horizon, max_cells)[0][origin])
+    _, readings = _sweep(p, "reflected", (0,) * p.dim, horizon, max_cells)
+    *_, (values, _) = readings
+    # a reading starts with the start's value
+    return float(values[0])
 
 
 def return_probability_profile(
@@ -478,18 +478,9 @@ def return_probability_profile(
 ) -> list[tuple[int, float]]:
     """All pairs (2m, P(X_{2m} = 0 | X_0 = 0)) with 2m <= max_horizon,
     from a single propagation sweep."""
-    if max_horizon < 0:
-        raise ValueError(f"max_horizon must be nonnegative, got {max_horizon}")
-    origin = (0,) * p.dim
-    out: list[tuple[int, float]] = []
-
-    def snap(k: int, values: np.ndarray, cells) -> None:
-        # the start is the only cell at distance 0, so it comes first
-        if k % 2 == 0:
-            out.append((k, float(values[0])))
-
-    _sweep(p, "reflected", origin, max_horizon, max_cells, snap)
-    return out
+    _, readings = _sweep(p, "reflected", (0,) * p.dim, max_horizon, max_cells)
+    # a reading starts with the start's value
+    return [(k, float(values[0])) for k, (values, _) in enumerate(readings) if k % 2 == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +531,8 @@ def ballot_counts(n: int, alpha: int, beta: int) -> BallotCount:
     the floor constraint.  The reduced count comes from a direct DP over
     (step, height), exact in integer arithmetic.
     """
+    if not all(_integer(x) for x in (n, alpha, beta)):
+        raise ValueError(f"n, alpha and beta must be integers, got {(n, alpha, beta)}")
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     gap = abs(beta - alpha)
@@ -572,19 +565,56 @@ class DominationReport:
     min_slack: float | None = None
 
 
-def _orthant_differences(
-    p: ModelParams, start: State, n: int, max_cells: int, scale: float
-) -> tuple[np.ndarray, int]:
-    """px - scale * pz on the orthant cells where the signed law px or the
-    drifted law pz from start is nonzero, and the number of those cells.
-    Both sweeps use the box [start - n, start + n], so their arrays share
-    one corner."""
-    px, corner = _sweep(p, "signed", start, n, max_cells)
-    pz, _ = _sweep(p, "drifted", start, n, max_cells)
-    orthant = tuple(slice(max(-c, 0), None) for c in corner)
-    px, pz = px[orthant], pz[orthant]
-    cells = (px != 0.0) | (pz != 0.0)
-    return (px - scale * pz)[cells], int(np.count_nonzero(cells))
+def _dominations(
+    p: ModelParams, mode: str, start: State | None, first: int, n: int, max_cells: float
+) -> Iterator[DominationReport]:
+    """The reports of the mode's check at horizons first..n, read off one
+    signed and one drifted sweep from start to n.  The arguments and the
+    budget are checked at the call."""
+    if mode not in ("upper", "lower"):
+        raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
+    if mode == "upper" and start is not None:
+        raise ValueError("start applies only to the lower bound")
+    if start is None:
+        start = (0 if mode == "upper" else 1,) * p.dim
+    if mode == "lower" and any(c < 1 for c in start):
+        raise ValueError(f"start must have every coordinate >= 1, got {start}")
+    if mode == "lower" and first < 1:
+        raise ValueError(f"need at least one step, got n={first}")
+    corner, signed = _sweep(p, "signed", start, n, max_cells)
+    _, drifted = _sweep(p, "drifted", start, n, max_cells)
+    return (_domination_report(p, mode, k, px, pz, cells, corner)
+            for k, ((px, cells), (pz, _)) in enumerate(zip(signed, drifted)) if k >= first)
+
+
+def _domination_report(p, mode, n, px, pz, cells, corner) -> DominationReport:
+    """The report at horizon n: px - scale * pz, scale 1 for the upper bound
+    and n^(-d) for the lower, over the orthant cells where the signed
+    reading px or the drifted reading pz is nonzero.  The sweeps share their
+    box, so their level-ordered cells line up one for one."""
+    keep = (px != 0.0) | (pz != 0.0)
+    for c, lo in zip(cells, corner):
+        keep &= c >= -lo
+    scale = 1.0 if mode == "upper" else float(n) ** (-p.dim)
+    diff = px[keep] - scale * pz[keep]
+    worst = ({"max_violation": float(diff.max())} if mode == "upper"
+             else {"min_slack": float(diff.min())})
+    return DominationReport(mode, n, int(np.count_nonzero(keep)), **worst)
+
+
+def domination_profile(
+    p: ModelParams,
+    mode: str,
+    n_max: int,
+    *,
+    start: State | None = None,
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> list[DominationReport]:
+    """The reports of check_domination_upper (mode 'upper', from the
+    origin) or check_domination_lower (mode 'lower', from start, all ones
+    by default) for n = 1..n_max, from a single signed and a single drifted
+    sweep.  The budget counts the n_max box."""
+    return list(_dominations(p, mode, start, 1, n_max, max_cells))
 
 
 def check_domination_upper(
@@ -597,10 +627,7 @@ def check_domination_upper(
 
     Scans the union of both supports restricted to the orthant and reports
     the largest difference (mathematically <= 0)."""
-    diff, cells = _orthant_differences(p, (0,) * p.dim, n, max_cells, 1.0)
-    return DominationReport(
-        mode="upper", n=n, cells_checked=cells, max_violation=float(diff.max())
-    )
+    return next(_dominations(p, "upper", None, n, n, max_cells))
 
 
 def check_domination_lower(
@@ -612,12 +639,4 @@ def check_domination_lower(
 ) -> DominationReport:
     """Verify P_z(X_n = k) >= n^(-d) P(Z_n = k | Z_0 = z) for every k in
     Z_+^d, for a start z with every coordinate >= 1 (off the boundary)."""
-    if any(c < 1 for c in z):
-        raise ValueError(f"start must have every coordinate >= 1, got {z}")
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
-    scale = float(n) ** (-p.dim)
-    diff, cells = _orthant_differences(p, z, n, max_cells, scale)
-    return DominationReport(
-        mode="lower", n=n, cells_checked=cells, min_slack=float(diff.min())
-    )
+    return next(_dominations(p, "lower", z, n, n, max_cells))

@@ -461,25 +461,15 @@ def ldp_consistency(
     if horizons and horizons[0] < 1:
         raise ValueError("horizons must be positive")
     limit = _halfspace_infimum(p, a)
-    tails: dict[int, float] = {}
-
-    def snap(k: int, values: np.ndarray, cells) -> None:
-        # on the orthant a box index is the site; fsum ignores the order
-        if k in horizons:
-            tails[k] = math.fsum(values[cells[0] >= math.ceil(a * k - 1e-9)])
-
-    exact._sweep(p, "reflected", (0,) * p.dim, max(horizons, default=0), max_cells, snap)
+    # on the orthant a box index is the site; fsum ignores the order
+    origin = (0,) * p.dim
+    _, readings = exact._sweep(p, "reflected", origin, max(horizons, default=0), max_cells)
+    tails = {k: math.fsum(values[cells[0] >= math.ceil(a * k - 1e-9)])
+             for k, (values, cells) in enumerate(readings) if k in horizons}
     rows = []
     for n in horizons:
         tail = tails[n]
         rate = math.inf if tail == 0.0 else -math.log(tail) / n
-        rows.append(
-            ConsistencyRow(
-                n=n,
-                tail_prob=tail,
-                empirical_rate=rate,
-                limit_rate=limit,
-                gap=rate - limit,
-            )
-        )
+        rows.append(ConsistencyRow(n=n, tail_prob=tail, empirical_rate=rate,
+                                   limit_rate=limit, gap=rate - limit))
     return rows

@@ -110,8 +110,6 @@ def test_no_subcommand_exits_one(capsys):
           "--beta", "0"], "--n"),
         (["ldp-consistency", "--dim", "1", "--lambda", "0.5", "--a", "nan",
           "--n-list", "10"], "--a"),
-        (["ldp-consistency", "--dim", "3", "--lambda", "0.5", "--a", "0.5",
-          "--n-list", "10"], "--dim"),
         (["dominate", "--dim", "2", "--lambda", "0.5", "--mode", "lower",
           "--n-max", "2", "--start", "0,1"], "--start"),
     ],
@@ -164,6 +162,20 @@ def test_resource_budget_exits_two(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_dominate_counts_the_largest_box_before_any_step(monkeypatch, capsys):
+    # one sweep per walk to --n-max: its box is over budget, so the run
+    # fails at once instead of after the horizons whose boxes fit
+    monkeypatch.setattr(exact, "_evolve", lambda *args: pytest.fail("swept over budget"))
+    code, out, err = run_cli(
+        ["dominate", "--dim", "2", "--lambda", "0.5", "--mode", "upper", "--n-max", "800"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err and "(shape (1601, 1601))" in err
 
 
 def test_convergence_failure_exits_two(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from biasedwalk.exact import (
     ballot_counts,
     check_domination_lower,
     check_domination_upper,
+    domination_profile,
     enumerate_oracle,
     fold_to_orthant,
     log_mgf,
@@ -160,15 +161,8 @@ _FAMILIES = {
 }
 
 
-def _placed(shape, grid, lo):
-    """A support array written into a zero grid of the whole box."""
-    full = np.zeros(shape)
-    full[tuple(slice(a, a + k) for a, k in zip(lo, grid.shape))] = grid
-    return full
-
-
 def _scattered(shape, values, cells):
-    """A snapshot's level-ordered values written into a zero grid of the
+    """A reading's level-ordered values written into a zero grid of the
     whole box at their cells."""
     full = np.zeros(shape)
     full[cells] = values
@@ -189,8 +183,9 @@ def test_reachable_sweep_matches_full_box_reference(d, lam, data, family):
     # Starts on and off the faces, up to 25 steps (10 at d = 4).  The box is
     # the one exact._sweep builds, or, to reach the clip at its far edge,
     # that box cut short by up to two cells per axis, so that mass runs out
-    # of it in both sweeps alike.  Every snapshot and the final grid must
-    # equal the reference bit for bit.
+    # of it in both sweeps alike.  Every reading must equal the reference
+    # bit for bit, and the last one, put in C order of its sites, must give
+    # the reference's nonzero cells in C order
     n = data.draw(st.integers(0, 10 if d == 4 else 25))
     start = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
     cut = data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
@@ -204,25 +199,32 @@ def test_reachable_sweep_matches_full_box_reference(d, lam, data, family):
     expected = []
     final = _reference_evolve(shape, at, weights(p, coords), n,
                               lambda k, grid: expected.append(grid.copy()))
-    seen = []
-    grid, lo = exact._evolve(
+    readings = exact._evolve(
         shape, at, lambda cells: weights(p, [a + c for a, c in zip(corner, cells)]), n,
-        lambda k, values, cells: seen.append(_scattered(shape, values, cells)),
     )
-    assert len(seen) == len(expected) == n + 1
-    for k, (got, want) in enumerate(zip(seen, expected)):
-        assert np.array_equal(got, want), k
-    assert np.array_equal(_placed(shape, grid, lo), final)
+    k = -1
+    for k, (values, cells) in enumerate(readings):
+        assert np.array_equal(_scattered(shape, values, cells), expected[k]), k
+    assert k == len(expected) - 1 == n
+    nz = np.nonzero(final)
+    got, sites = exact._site_order(values, cells, corner)
+    assert np.array_equal(got, final[nz])
+    assert all(np.array_equal(s, i + lo) for s, i, lo in zip(sites, nz, corner))
 
 
 def test_reachable_sweep_peak_memory():
     # a d=3 sweep keeps its tables over the reachable cells only: the whole
-    # box costs one int32 array and the returned support array
-    exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), 2, exact.DEFAULT_MAX_CELLS)
+    # box costs one int32 array
+    def sweep(n):
+        _, readings = exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), n,
+                                   exact.DEFAULT_MAX_CELLS)
+        for _ in readings:
+            pass
+
+    sweep(2)
     tracemalloc.start()
     try:
-        exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), 100,
-                     exact.DEFAULT_MAX_CELLS)
+        sweep(100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,15 +252,26 @@ def _tilted_log_mgf(p, start, n, **kwargs):
     return log_mgf(p, start, n, (0.3, -0.2), **kwargs)
 
 
+def _upper_check(p, start, n, **kwargs):
+    return check_domination_upper(p, n, **kwargs)
+
+
+def _lower_profile(p, start, n, **kwargs):
+    return domination_profile(p, "lower", n, start=start, **kwargs)
+
+
 @pytest.mark.parametrize("sweep, start, cells", [
     (propagate, (2, 0), 8 * 6),
     (propagate_full, (2, 0), 11 * 11),
     (propagate_drifted, (1, 1), 11 * 11),
     (_tilted_log_mgf, (2, 0), 8 * 6),
+    (_upper_check, (0, 0), 11 * 11),
+    (_lower_profile, (1, 2), 11 * 11),
 ])
 def test_budget_counts_the_full_box_before_sweeping(sweep, start, cells, monkeypatch):
     # the support is far smaller than the box for most of the sweep, but
-    # the budget still counts the box, and is checked before any step.
+    # the budget still counts the box, and is checked before any step.  A
+    # domination profile counts the box of its largest horizon at the call.
     # log_mgf keeps the law it swept at the default budget, and that law
     # must not get round a smaller one
     p = ModelParams(2, 0.5)
@@ -291,6 +304,10 @@ def test_budget_counts_the_full_box_before_sweeping(sweep, start, cells, monkeyp
     (lambda p: log_mgf(p, (True, 0), 2, (0.1, 0.2)), "start must have integer coordinates"),
     (lambda p: enumerate_oracle(p, (0, 0), 2.5), "step count must be an integer, got 2.5"),
     (lambda p: enumerate_oracle(p, (0.5, 0), 2), "start must have integer coordinates"),
+    (lambda p: ballot_counts(True, 0, 1), "n, alpha and beta must be integers"),
+    (lambda p: ballot_counts(4.0, 0, 2), "n, alpha and beta must be integers"),
+    (lambda p: ballot_counts(4, 0.5, 2), "n, alpha and beta must be integers"),
+    (lambda p: ballot_counts(4, 0, np.float64(2)), "n, alpha and beta must be integers"),
 ])
 def test_exact_rejects_non_integer_steps_and_starts(call, message):
     # 3.0 hashes like 3, so a law kept for n = 3 must not answer n = 3.0
@@ -691,9 +708,69 @@ def test_domination_lower_sweep_small():
                 assert report.min_slack >= -1e-12
 
 
-def test_domination_validation(capsys):
-    with pytest.raises(ValueError):
-        check_domination_lower(ModelParams(2, 0.5), (0, 1), 3)
+def _reference_domination(p, mode, start, n):
+    """(worst difference, cells checked) at horizon n from the public laws:
+    px - scale * pz, scale 1 for the upper bound and n^(-d) for the lower,
+    over the orthant sites of the union of both supports."""
+    px, pz = propagate_full(p, start, n), propagate_drifted(p, start, n)
+    scale = 1.0 if mode == "upper" else float(n) ** -p.dim
+    diffs = [px.get(y, 0.0) - scale * pz.get(y, 0.0)
+             for y in set(px) | set(pz) if min(y) >= 0]
+    return (max if mode == "upper" else min)(diffs), len(diffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    lam=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    mode=st.sampled_from(["upper", "lower"]),
+    data=st.data(),
+)
+def test_domination_profile_matches_the_laws(d, lam, mode, data):
+    # one signed and one drifted sweep read at every horizon give each
+    # horizon's report of the public laws, value bit for bit and cell count
+    # exactly, and so do the single-horizon checks.  The lower bound starts
+    # from sites with coordinates 1 to 4, on and off the diagonal
+    p = ModelParams(d, lam)
+    n_max = data.draw(st.integers(1, (20, 10, 6)[d - 1]))
+    start = None
+    if mode == "lower":
+        start = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    profile = domination_profile(p, mode, n_max, start=start)
+    assert [r.n for r in profile] == list(range(1, n_max + 1))
+    for r in profile:
+        single = (check_domination_upper(p, r.n) if mode == "upper"
+                  else check_domination_lower(p, start, r.n))
+        worst, cells = _reference_domination(p, mode, start or (0,) * d, r.n)
+        value = r.max_violation if mode == "upper" else r.min_slack
+        assert r.mode == single.mode == mode
+        assert value.hex() == worst.hex() == (single.max_violation if mode == "upper"
+                                              else single.min_slack).hex(), r.n
+        assert r.cells_checked == single.cells_checked == cells, r.n
+        assert (r.min_slack if mode == "upper" else r.max_violation) is None
+
+
+def test_domination_validation(capsys, monkeypatch):
+    # the checks run at the call, before the domination generator is read
+    # and before any sweep is set up
+    p = ModelParams(2, 0.5)
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_evolve", lambda *args: pytest.fail("swept an invalid request"))
+        for call, message in [
+            (lambda: check_domination_lower(p, (0, 1), 3), "every coordinate >= 1"),
+            (lambda: domination_profile(p, "lower", 3, start=(0, 1)), "every coordinate >= 1"),
+            (lambda: exact._dominations(p, "lower", (0, 1), 1, 3, math.inf),
+             "every coordinate >= 1"),
+            (lambda: check_domination_lower(p, (1, 1), 0), "need at least one step"),
+            (lambda: domination_profile(p, "upper", 2.0), "step count must be an integer"),
+            (lambda: domination_profile(p, "upper", 3, start=(1, 1)), "only to the lower"),
+            (lambda: domination_profile(p, "sideways", 3), "mode must be"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call()
     # each CLI record carries the one bound its mode checks
     for mode, bound in (("upper", "max_violation"), ("lower", "min_slack")):
         argv = ["dominate", "--dim", "2", "--lambda", "0.5", "--mode", mode, "--n-max", "3"]

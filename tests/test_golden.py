@@ -90,6 +90,8 @@ CASES: dict[str, list[str]] = {
             + ["--a", "0.9", "--n-list", "40,20"]),
     **_both("ldp-consistency-d2", _model("ldp-consistency", 2, "0.5")
             + ["--a", "0.4", "--n-list", "10,20"]),
+    **_both("ldp-consistency-d3", _model("ldp-consistency", 3, "0.5")
+            + ["--a", "0.5", "--n-list", "10,20"]),
     # larger exact sweeps: d=3, and d=2 horizons far past the support's start
     **_both("mgf-d3", _model("mgf", 3, "0.4") + ["--s", "0.3,-0.2,0.1", "--n-list", "20,40"]),
     **_both("mgf-d2-long", _model("mgf", 2, "0.3") + ["--s=-0.4,0.6", "--n-list", "60,120"]),
@@ -138,8 +140,6 @@ CASES: dict[str, list[str]] = {
     "err-start-negative": _model("simulate", 2, "0.5") + ["--start", "-1,0"],
     "err-ballot-n": _model("ballot", 1, "0.5") + ["--n", "0", "--alpha", "0", "--beta", "0"],
     "err-a-nan": _model("ldp-consistency", 1, "0.5") + ["--a", "nan", "--n-list", "10"],
-    "err-consistency-dim": _model("ldp-consistency", 3, "0.5")
-    + ["--a", "0.5", "--n-list", "10"],
     "err-consistency-n": _model("ldp-consistency", 1, "0.5") + ["--a", "0.5", "--n-list", "0"],
     "err-lower-start": _model("dominate", 2, "0.5")
     + ["--mode", "lower", "--n-max", "2", "--start", "0,1"],
@@ -154,9 +154,9 @@ CASES: dict[str, list[str]] = {
 
 UNPINNED_MESSAGES = {
     "err-seed-negative", "err-seed-huge", "err-steps-zero", "err-paths-zero",
-    "err-start-negative", "err-ballot-n", "err-a-nan", "err-consistency-dim",
-    "err-consistency-n", "err-lower-start", "err-dominate-n", "err-return-n",
-    "err-grid", "err-mgf-n", "err-x-nan",
+    "err-start-negative", "err-ballot-n", "err-a-nan", "err-consistency-n",
+    "err-lower-start", "err-dominate-n", "err-return-n", "err-grid", "err-mgf-n",
+    "err-x-nan",
 }
 
 
