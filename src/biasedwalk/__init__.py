@@ -9,7 +9,7 @@ Four layers are provided:
 - ``simulate``: deterministic vectorised Monte Carlo for speed, fluctuation,
   martingale, and boundary-occupation statistics.
 - ``exact``: finite-horizon distributions by dynamic programming, a
-  rational-arithmetic path-enumeration oracle, log moment generating
+  rational-arithmetic oracle for them, log moment generating
   functions, return probabilities, ballot-style path counts, and
   stochastic-domination checks.
 - ``ldp``: the limiting scaled cumulant generating function, its Legendre

@@ -428,6 +428,11 @@ def _require_transform_params(cfg: dict, command: str) -> ModelParams:
     return _params(cfg)
 
 
+# Points a rate-fn grid may hold; --grid 316 at d=2 takes about 13 s on a
+# 2-core machine and writes a 28 MB JSON artifact.
+_MAX_GRID_POINTS = 100_000
+
+
 def _run_rate_fn(cfg: dict):
     p = _require_transform_params(cfg, "rate-fn")
     x, grid = cfg.get("x"), cfg.get("grid")
@@ -438,6 +443,9 @@ def _run_rate_fn(cfg: dict):
             raise CliError(f"--x needs {p.dim} comma-separated components")
         points = [x]
     else:
+        if grid**p.dim > _MAX_GRID_POINTS:
+            raise ResourceBudgetError(f"--grid {grid} gives {grid**p.dim} points in "
+                                      f"dimension {p.dim}, budget is {_MAX_GRID_POINTS}")
         axis = np.linspace(0.0, 1.0, grid)
         mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)

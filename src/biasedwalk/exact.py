@@ -21,16 +21,18 @@ The module provides
 - ``propagate``            exact law of the reflected chain on Z_+^d,
 - ``propagate_full``       exact law of the signed walk on Z^d,
 - ``propagate_drifted``    exact law of the free comparison walk Z,
-- ``enumerate_oracle``     rational-arithmetic path enumeration with its
-                           own Fraction kernel (ground truth for the
-                           propagators at small n), and ``fold_to_orthant``
-                           to compare it with ``propagate``,
+- ``enumerate_oracle``     the signed law in exact rationals, stepped
+                           site by site with its own Fraction kernel
+                           (ground truth for the propagators), and
+                           ``fold_to_orthant`` to compare it with
+                           ``propagate``,
 - ``log_mgf``              Lambda_n(s, x) = ln E_x exp(sum_i s_i |X_n^i|),
                            which reuses the law of the last few
                            (lam, x, n), so a run of tilts sweeps once,
 - ``return_probability``   P(X_{2n} = 0 | X_0 = 0), and
   ``return_probability_profile`` every even horizon of it from one sweep,
-- ``ballot_counts``        exact ballot-style path counts P and Q,
+- ``ballot_counts``        exact ballot-style path counts P and Q, by the
+                           reflection principle,
 - ``check_domination_*``   exhaustive verification that the drifted walk
                            dominates the biased walk from above, and from
                            below up to the factor n^{-d}, and
@@ -57,8 +59,9 @@ SparseDistribution = dict[State, float]
 # Cell budget for dense propagation; d <= 3 at a few hundred steps fits.
 DEFAULT_MAX_CELLS = 2_000_000
 
-# Path budget for the rational enumeration oracle ((2d)^n paths).
-DEFAULT_MAX_PATHS = 300_000
+# Site-step budget for the rational oracle: d=1 to n=100, d=2 to n=24 and
+# d=3 to n=13 fit, each in about a second at a non-dyadic lam.
+DEFAULT_MAX_SITE_STEPS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,17 @@ def _integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _finite_vector(name: str, v, dim: int) -> np.ndarray:
+    """v as a float array of shape (dim,), a scalar taken as one coordinate;
+    ValueError naming it unless it has dim coordinates, all finite."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    return v
+
+
 def _box(
     p: ModelParams, walk: str, start: State, n: int, max_cells: float
 ) -> tuple[State, tuple[int, ...]]:
@@ -298,7 +312,7 @@ def propagate_drifted(
 
 
 # ---------------------------------------------------------------------------
-# rational path-enumeration oracle
+# rational oracle
 # ---------------------------------------------------------------------------
 
 
@@ -312,60 +326,57 @@ def fold_to_orthant(dist: dict) -> dict:
     return out
 
 
+def _rational_moves(lam: Fraction, v: State) -> list[tuple[State, Fraction]]:
+    """The signed walk's moves out of v and their probabilities, in exact
+    rationals; coded apart from kernel.move_table, which is pinned to it."""
+    d = len(v)
+    big_d = d + kappa(v) + lam * (d - kappa(v))
+    moves = []
+    for i in range(d):
+        for step in (-1, 1):
+            u = v[:i] + (v[i] + step,) + v[i + 1 :]
+            prob = (lam if abs(u[i]) < abs(v[i]) else 1) / big_d
+            if prob:
+                moves.append((u, prob))
+    return moves
+
+
 def enumerate_oracle(
     p: ModelParams,
     start: State,
     n: int,
     *,
-    max_paths: int = DEFAULT_MAX_PATHS,
+    max_site_steps: int = DEFAULT_MAX_SITE_STEPS,
 ) -> dict[State, Fraction]:
-    """Exact n-step law of the signed walk by exhaustive path enumeration.
+    """Exact n-step law of the signed walk in rational arithmetic.
 
-    Walks every nearest-neighbour path of length n out of start and sums the
-    products of one-step probabilities in exact rational arithmetic.  The
-    bias enters as Fraction(p.lam) - the exact rational value of the stored
-    double - so a comparison against the floating propagators measures
-    arithmetic rounding only, with no parameter-conversion gap.
+    Pushes each site's mass through one step at a time with the oracle's
+    own Fraction kernel.  Fraction sums are exact, so this gives the same
+    law as summing the products of one-step probabilities path by path.
+    The bias enters as Fraction(p.lam) - the exact rational value of the
+    stored double - so a comparison against the floating propagators
+    measures arithmetic rounding only, with no parameter-conversion gap.
 
-    Masses are Fractions and sum to exactly 1.
+    Masses are Fractions and sum to exactly 1.  The budget counts the
+    sites within L1 distance k of start summed over the steps k < n, and
+    is checked at the call, before any step.
     """
     # the arguments of a signed sweep, with no cell budget
     _box(p, "signed", start, n, math.inf)
-    if (2 * p.dim) ** n > max_paths:
-        raise ResourceBudgetError(
-            f"enumeration would visit up to {(2 * p.dim) ** n} paths, "
-            f"budget is {max_paths}"
-        )
-    lam = Fraction(p.lam)
     d = p.dim
-    kernel_cache: dict[State, list[tuple[State, Fraction]]] = {}
-
-    def kernel(v: State) -> list[tuple[State, Fraction]]:
-        cached = kernel_cache.get(v)
-        if cached is not None:
-            return cached
-        big_d = d + kappa(v) + lam * (d - kappa(v))
-        moves = []
-        for i in range(d):
-            for step in (-1, 1):
-                u = v[:i] + (v[i] + step,) + v[i + 1 :]
-                prob = (lam if abs(u[i]) < abs(v[i]) else 1) / big_d
-                if prob:
-                    moves.append((u, prob))
-        kernel_cache[v] = moves
-        return moves
-
-    acc: dict[State, Fraction] = {}
-
-    def walk(v: State, prob: Fraction, left: int) -> None:
-        if left == 0:
-            acc[v] = acc.get(v, Fraction(0)) + prob
-            return
-        for u, q in kernel(v):
-            walk(u, prob * q, left - 1)
-
-    walk(tuple(start), Fraction(1), n)
-    return acc
+    site_steps = sum(2**i * math.comb(d, i) * math.comb(n, i + 1) for i in range(d + 1))
+    if site_steps > max_site_steps:
+        raise ResourceBudgetError(f"oracle would step {site_steps} sites, "
+                                  f"budget is {max_site_steps}")
+    lam = Fraction(p.lam)
+    law = {tuple(start): Fraction(1)}
+    for _ in range(n):
+        step: dict[State, Fraction] = {}
+        for v, mass in law.items():
+            for u, prob in _rational_moves(lam, v):
+                step[u] = step.get(u, 0) + mass * prob
+        law = step
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +437,7 @@ def log_mgf(
     large positive s at large n cannot overflow.  The law of the last few
     (p, start, n) is kept, so further tilts at them cost no sweep.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (p.dim,):
-        raise ValueError(f"s must have shape ({p.dim},), got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError(f"s must be finite, got {s.tolist()}")
+    s = _finite_vector("s", s, p.dim)
     # checked before the lookup, so a kept law never escapes a smaller budget
     _box(p, "reflected", start, n, max_cells)
     logs, sites = _log_law(p, tuple(int(c) for c in start), int(n))
@@ -504,32 +511,16 @@ class BallotCount:
     floored: int
 
 
-@lru_cache(maxsize=None)
-def _floored_counts(n: int) -> tuple[int, ...]:
-    """counts[g] = number of n-step +-1 paths 0 -> g staying >= 0."""
-    dp = [0] * (n + 2)
-    dp[0] = 1
-    for _ in range(n):
-        new = [0] * (n + 2)
-        for h in range(n + 1):
-            c = dp[h]
-            if c:
-                new[h + 1] += c
-                if h > 0:
-                    new[h - 1] += c
-        dp = new
-    return tuple(dp[: n + 1])
-
-
 def ballot_counts(n: int, alpha: int, beta: int) -> BallotCount:
     """Exact path counts P (all alpha -> beta paths) and Q (those staying at
     or above min(alpha, beta)).
 
-    Q reduces to counting nonnegative-floor paths 0 -> |beta - alpha|:
+    Q reduces to counting nonnegative-floor paths 0 -> g = |beta - alpha|:
     translating by -min(alpha, beta) puts the floor at zero, and when the
     path runs downhill, reversing it swaps the endpoints without touching
-    the floor constraint.  The reduced count comes from a direct DP over
-    (step, height), exact in integer arithmetic.
+    the floor constraint.  By the reflection principle the paths 0 -> g
+    that go below 0 are as many as all paths -2 -> g, so with
+    k = (n + g) / 2 up-steps the count is C(n, k) - C(n, k + 1).
     """
     if not all(_integer(x) for x in (n, alpha, beta)):
         raise ValueError(f"n, alpha and beta must be integers, got {(n, alpha, beta)}")
@@ -538,9 +529,9 @@ def ballot_counts(n: int, alpha: int, beta: int) -> BallotCount:
     gap = abs(beta - alpha)
     if gap > n or (n - gap) % 2:
         return BallotCount(n, alpha, beta, 0, 0)
-    total = math.comb(n, (n + gap) // 2)
-    floored = _floored_counts(n)[gap]
-    return BallotCount(n, alpha, beta, total, floored)
+    k = (n + gap) // 2
+    total = math.comb(n, k)
+    return BallotCount(n, alpha, beta, total, total - math.comb(n, k + 1))
 
 
 # ---------------------------------------------------------------------------

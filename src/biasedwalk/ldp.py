@@ -65,22 +65,9 @@ MAX_ITERATIONS = 100
 SIMPLEX_TOL = 1e-12
 
 
-def _coerce_point(p: ModelParams, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (p.dim,):
-        raise ValueError(f"x must have {p.dim} coordinates, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite, got {x.tolist()}")
-    return x
-
-
 def log_psi(p: ModelParams, s) -> float:
     """ln psi(s), evaluated in log space so large tilts cannot overflow."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (p.dim,):
-        raise ValueError(f"s must have {p.dim} coordinates, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError(f"s must be finite, got {s.tolist()}")
+    s = exact._finite_vector("s", s, p.dim)
     d = p.dim
     log_lam = math.log(p.lam) if p.lam > 0 else -math.inf
     norm = math.log(d * (1.0 + p.lam))
@@ -237,7 +224,7 @@ def rate_function(p: ModelParams, x) -> RateResult:
     """
     if p.dim == 1 and p.lam == 0.0:
         raise ValueError("rate function undefined for dim=1, lam=0")
-    x = _coerce_point(p, x).copy()
+    x = exact._finite_vector("x", x, p.dim).copy()
     x[np.abs(x) <= SIMPLEX_TOL] = 0.0
     domain_class = _classify(p, x)
     if domain_class == "outside":
@@ -284,7 +271,7 @@ def rate_closed_form(p: ModelParams, x) -> float:
     expression is evaluated on the open region sum(x) < 1 where its
     radical is positive.
     """
-    x = _coerce_point(p, x)
+    x = exact._finite_vector("x", x, p.dim)
     if p.lam == 0.0:
         if p.dim < 2:
             raise ValueError("no closed form for dim=1, lam=0")

@@ -162,6 +162,14 @@ def test_resource_budget_exits_two(capsys):
     )
     assert code == 2
     assert "budget" in err
+    # a rate-fn grid of 10^15 points is refused before it is laid out, which
+    # would raise MemoryError
+    code, out, err = run_cli(
+        ["rate-fn", "--dim", "3", "--lambda", "0.5", "--grid", "100000"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: --grid 100000 gives 1000000000000000 points in dimension 3, "
+                   "budget is 100000\n")
 
 
 def test_dominate_counts_the_largest_box_before_any_step(monkeypatch, capsys):

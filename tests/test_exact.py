@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -355,9 +356,86 @@ def test_oracle_matches_propagators():
                     assert abs(mass - float(folded[y])) <= 1e-12
 
 
-def test_oracle_budget():
-    with pytest.raises(ResourceBudgetError):
-        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 12)
+def test_oracle_budget(monkeypatch):
+    # d=2 at n=25 steps 10425 sites, over the default budget; the count is
+    # made at the call, before any step
+    def no_step(*args):
+        raise AssertionError("stepped a request over budget")
+
+    monkeypatch.setattr(exact, "_rational_moves", no_step)
+    with pytest.raises(ResourceBudgetError, match=r"step 10425 sites, budget is 10000$"):
+        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 25)
+    with pytest.raises(ResourceBudgetError, match=r"step 9224 sites, budget is 9223$"):
+        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24, max_site_steps=9223)
+    monkeypatch.undo()
+    assert sum(enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24).values()) == 1
+
+
+def brute_oracle(p: ModelParams, start, n: int) -> dict:
+    """The n-step law of the signed walk summed path by path over the
+    oracle's Fraction kernel: the enumeration its forward sweep replaced."""
+    lam = Fraction(p.lam)
+    law: dict = {}
+
+    def walk(v, prob, left):
+        if left == 0:
+            law[v] = law.get(v, 0) + prob
+            return
+        for u, q in exact._rational_moves(lam, v):
+            walk(u, prob * q, left - 1)
+
+    walk(tuple(start), Fraction(1), n)
+    return law
+
+
+def test_oracle_matches_brute_enumeration():
+    # the same Fractions as summing path by path, on and off the faces;
+    # lam = 5e-324 gives large rationals, so it stops sooner
+    for d in (1, 2, 3):
+        for lam in (0.0, 5e-324, 0.3, 1 - 2**-53):
+            p = ModelParams(d, lam)
+            n_max = ((6, 4, 3) if lam == 5e-324 else (6, 6, 4))[d - 1]
+            for start in ((0,) * d, (2,) + (-1,) * (d - 1), (1,) * d):
+                for n in range(n_max + 1):
+                    assert enumerate_oracle(p, start, n) == brute_oracle(p, start, n)
+
+
+def _assert_matches_oracle(law: dict, oracle: dict) -> None:
+    """law holds no site outside the oracle's support and every site whose
+    mass is at least the smallest normal double, and each mass is within
+    1e-12 of the oracle's.  A smaller mass may underflow to 0.0."""
+    assert set(law) <= set(oracle)
+    assert {y for y, q in oracle.items() if q >= sys.float_info.min} <= set(law)
+    for y, q in oracle.items():
+        assert abs(law.get(y, 0.0) - float(q)) <= 1e-12, y
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    lam=st.one_of(
+        st.sampled_from([0.0, 1.0 - 2.0**-53, 5e-324]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    n=st.integers(0, 60),
+    site=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    tilt=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
+@example(d=2, lam=1.0 - 2.0**-53, n=24, site=[0, 3, 0], tilt=[0.5, -1.5, 0.0])
+@example(d=3, lam=0.0, n=12, site=[0, 2, 1], tilt=[2.0, 0.25, -1.0])
+def test_propagators_match_oracle_at_long_horizons(d, lam, n, site, tilt):
+    # horizons where both parity blocks fill and the pad slot is read, on
+    # and off the faces.  The rationals of lam = 5e-324 have 2^-1074
+    # denominators, which grow fast, so it stays at small n
+    p, start, s = ModelParams(d, lam), tuple(site[:d]), tilt[:d]
+    n %= ((24, 8, 5) if lam == 5e-324 else (60, 24, 12))[d - 1] + 1
+    oracle = enumerate_oracle(p, start, n)
+    folded = fold_to_orthant(oracle)
+    _assert_matches_oracle(propagate_full(p, start, n), oracle)
+    _assert_matches_oracle(propagate(p, start, n), folded)
+    ref = math.log(math.fsum(float(q) * math.exp(math.fsum(c * k for c, k in zip(s, y)))
+                             for y, q in folded.items()))
+    assert abs(log_mgf(p, start, n, s) - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +716,16 @@ def test_ballot_against_brute_enumeration():
 
 
 def test_ballot_reflection_closed_form():
-    # independent closed form: paths 0 -> g staying >= 0 number
-    # C(n, (n+g)/2) - C(n, (n+g)/2 + 1)
-    for n in range(1, 21):
-        for g in range(0, n + 1):
-            if (n - g) % 2:
-                continue
-            got = ballot_counts(n, 0, g).floored
-            k = (n + g) // 2
-            want = math.comb(n, k) - (math.comb(n, k + 1) if k + 1 <= n else 0)
-            assert got == want
+    # ballot_counts' reflection formula against a direct DP over (step,
+    # height): counts[h] paths of n steps 0 -> h that stay >= 0, for every
+    # n <= 200 and every gap, uphill and downhill
+    counts = [1]
+    for n in range(1, 201):
+        counts = [(counts[h - 1] if h else 0) + (counts[h + 1] if h + 1 < n else 0)
+                  for h in range(n + 1)]
+        for g in range(n + 1):
+            assert ballot_counts(n, 0, g).floored == counts[g], (n, g)
+            assert ballot_counts(n, g - 7, -7).floored == counts[g], (n, g)
 
 
 def test_ballot_inequality_integer_form():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
-from biasedwalk import cli, ldp
+from biasedwalk import cli, exact, ldp
 from biasedwalk.errors import ConvergenceError
 from biasedwalk.kernel import ModelParams
 
@@ -800,7 +800,7 @@ def _solve_newton(
 def _reference_rate(p: ModelParams, x) -> float:
     """The rate as the earlier solver computed it; raises ConvergenceError
     where that solver fails."""
-    x = ldp._coerce_point(p, x).copy()
+    x = exact._finite_vector("x", x, p.dim).copy()
     x[np.abs(x) <= ldp.SIMPLEX_TOL] = 0.0
     domain_class = ldp._classify(p, x)
     if domain_class == "outside":
