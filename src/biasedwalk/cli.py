@@ -443,8 +443,12 @@ def _run_rate_fn(cfg: dict):
             raise CliError(f"--x needs {p.dim} comma-separated components")
         points = [x]
     else:
-        if grid**p.dim > _MAX_GRID_POINTS:
-            raise ResourceBudgetError(f"--grid {grid} gives {grid**p.dim} points in "
+        # --grid is at least 2, so past this many axes the grid is over
+        # budget, and the power need not be formed
+        axes = _MAX_GRID_POINTS.bit_length()
+        if p.dim >= axes or grid**p.dim > _MAX_GRID_POINTS:
+            count = grid**p.dim if p.dim < axes else f"more than {_MAX_GRID_POINTS}"
+            raise ResourceBudgetError(f"--grid {grid} gives {count} points in "
                                       f"dimension {p.dim}, budget is {_MAX_GRID_POINTS}")
         axis = np.linspace(0.0, 1.0, grid)
         mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
@@ -530,7 +534,7 @@ _COMMANDS = {
             "simulate",
             _steps_paths(1000, 100, min_steps=0)
             + (
-                _Opt("start", "ints", default=None, lo=0,
+                _Opt("start", "ints", default=None, lo=0, hi=2**63 - 1,
                      help="start site a,b,... (default origin)"),
                 _Opt("dump-trajectories", "bool", default=False,
                      help="emit every path instead of batch statistics"),
@@ -573,7 +577,7 @@ _COMMANDS = {
             (
                 _Opt("mode", ("upper", "lower"), help="which comparison bound to check"),
                 _Opt("n-max", "int", lo=1, help="check n = 1..n-max"),
-                _Opt("start", "ints", default=None, lo=1,
+                _Opt("start", "ints", default=None, lo=1, hi=2**63 - 1,
                      help="start site for the lower bound (default all ones)"),
             ),
             _run_dominate,

@@ -5,14 +5,16 @@ n steps the walk started at x lives in a box of side O(n), so its law can be
 propagated exactly (up to double rounding) with no truncation.  The three
 propagators share one sweep, which differs only in its box ([0, x + n] for
 the reflected chain, [x - n, x + n] for the signed and drifted walks) and
-in the rows of ``kernel.move_table`` that its cells read their move
-probabilities from.
+in its walk: each cell reads its move probabilities from the row of
+``kernel.move_table`` that ``kernel.move_row`` gives for its lattice site.
 The sweep keeps only the box cells within L1 distance n of x, in two
 parity blocks ordered by distance, and step k updates only the cells
 within distance k whose distance has the parity of k: the reachable set.
 It gives the same bits as updating the whole box, and yields a reading
-after every step, so a reader of many horizons needs one sweep.
-Truncating would silently void the inequality checks, so none is
+after every step, the values and their int64 lattice sites, so a reader
+of many horizons needs one sweep, and a start far from the origin is
+swept as a near one is.  A start whose box leaves the int64 range raises
+ValueError.  Truncating would silently void the inequality checks, so none is
 performed; requests whose whole box would exceed the configured cell
 budget raise ResourceBudgetError instead, at the call, before any step.
 
@@ -43,25 +45,24 @@ The module provides
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, kappa, move_row, move_table
+from .kernel import ModelParams, State, _check_site, _integer, kappa, move_row, move_table
 
 SparseDistribution = dict[State, float]
 
 # Cell budget for dense propagation; d <= 3 at a few hundred steps fits.
 DEFAULT_MAX_CELLS = 2_000_000
 
-# Site-step budget for the rational oracle: d=1 to n=100, d=2 to n=24 and
-# d=3 to n=13 fit, each in about a second at a non-dyadic lam.
-DEFAULT_MAX_SITE_STEPS = 10_000
+# Work budget for the rational oracle (see enumerate_oracle): d=1 to n=80,
+# d=2 to n=24 and d=3 to n=12 fit, each in under a second at lam = 0.3.
+DEFAULT_MAX_SITE_STEPS = 1_100_000
 
 
 # ---------------------------------------------------------------------------
@@ -77,43 +78,42 @@ def _axis_view(arr: np.ndarray, dim: int, axis: int) -> np.ndarray:
 
 
 def _evolve(
-    shape: tuple[int, ...],
-    start_idx: tuple[int, ...],
-    weights: Callable[[tuple[np.ndarray, ...]], list[tuple[object, object]]],
-    n: int,
+    p: ModelParams, walk: str, start: State, n: int, box: tuple[range, ...]
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """Push a point mass through n steps of a nearest-neighbour kernel,
+    """Push a point mass at start through n steps of the walk over the box
+    of sites whose coordinates along each axis are box's range for it,
     yielding a reading after each step k = 0, 1, ..., n.
 
-    weights(cells) gives, for the cells whose box indices along each axis
-    are the 1-d arrays in cells, the per-axis pairs (w_up, w_down): the
-    probability of moving +1 / -1 along axis i from each cell, as an array
-    over the cells, a scalar, or None (no such move).  A move out of the
-    box is dropped, so the box must contain the n-step reachable set.
+    A cell moves by the row of kernel.move_table that kernel.move_row gives
+    for its site.  A move out of the box is dropped, so the box must
+    contain the n-step reachable set.
 
     Every step moves the L1 distance from the start by one, so after k
     steps the mass lies on the cells within distance k of the start whose
     distance has the parity of k.  The box cells within distance n are
     kept as two parity blocks, each ordered by distance, and step k writes
     only the first cells of block k % 2, those within distance k.  Each of
-    them pulls its sources from the other block one move at a time, in the
-    order axis 0 up, axis 0 down, axis 1 up, ...; a source outside the box
-    or beyond distance n reads the block's last slot, a pad that holds 0.0.
-    So each cell gets the same nonzero products, added in the same order,
-    as in a sweep of the whole box; the terms skipped are exact zeros, and
-    the values are bit-identical to it.
+    them pulls its sources' products with the move's probability from the
+    other block one move at a time, in the order axis 0 up, axis 0 down,
+    axis 1 up, ...; a source outside the box or beyond distance n reads a
+    product of 0.0.  So each cell gets the same nonzero products, added in
+    the same order, as in a sweep of the whole box; the terms skipped are
+    exact zeros, and the values are bit-identical to it.
 
     A reading is step k's values in level order, the start first, and the
-    box indices of their cells, an int32 array per axis (see _site_order
+    lattice sites of their cells, an int64 array per axis (see _site_order
     for C order).  Step k + 2 overwrites the values, so a reader takes what
     it needs before it asks for more.  The box must hold fewer than 2**31
-    cells.  The tables are built at the first reading, not at the call.
+    cells and its sites must be int64.  The tables are built at the first
+    reading, not at the call.
     """
-    dim = len(shape)
+    dim = len(box)
+    shape = tuple(map(len, box))
     # distances from the start over the box
     dist = 0
-    for i, (s, a) in enumerate(zip(shape, start_idx)):
-        dist = dist + _axis_view(np.abs(np.arange(s, dtype=np.int32) - a), dim, i)
+    for i, (axis, c) in enumerate(zip(box, start)):
+        dist = dist + _axis_view(np.abs(np.arange(len(axis), dtype=np.int32) - (c - axis.start)),
+                                 dim, i)
     dist = dist.ravel()
     kept = np.flatnonzero(dist <= n)
     level = dist[kept]
@@ -122,85 +122,69 @@ def _evolve(
     key = level % 2 * (n + 1) + level
     order = np.argsort(key.astype(np.min_scalar_type(2 * n + 1)), kind="stable")
     kept, level = kept[order].astype(np.int32), level[order]
-    ends = (0, kept.size - int(np.count_nonzero(level % 2)), kept.size)
-    sizes = (ends[1], ends[2] - ends[1])
+    split = kept.size - int(np.count_nonzero(level % 2))
+    blocks = (slice(0, split), slice(split, kept.size))
+    sizes = (split, kept.size - split)
     # reach[b][k]: the cells of block b within distance k of the start
-    reach = [np.searchsorted(level[a:b], np.arange(n + 1), "right")
-             for a, b in zip(ends, ends[1:])]
+    reach = [np.searchsorted(level[block], np.arange(n + 1), "right") for block in blocks]
     # the distances are spent: reuse their array as each cell's place in its
-    # block, -1 (the pad) for a cell not kept
+    # block, -1 for a cell not kept
     pos = dist
     pos.fill(-1)
-    for a, b in zip(ends, ends[1:]):
-        pos[kept[a:b]] = np.arange(b - a, dtype=np.int32)
+    for block, size in zip(blocks, sizes):
+        pos[kept[block]] = np.arange(size, dtype=np.int32)
     strides = [math.prod(shape[i + 1:]) for i in range(dim)]
-    coords = tuple(kept // stride % side for stride, side in zip(strides, shape))
-    # tables[b]: per move, each block-b cell's source in the other block and
-    # the move's probability there, tabled one move at a time so that only
-    # one move's weights are ever spread over the cells.  They are spread
-    # over the two blocks, each followed by its pad's 0.0.
-    padded = (slice(0, ends[1] + 1), slice(ends[1] + 1, ends[2] + 2))
-    slots = np.arange(kept.size)
-    slots[ends[1]:] += 1
+    sites = tuple(np.add(kept // stride % len(axis), axis.start, dtype=np.int64)
+                  for stride, axis in zip(strides, box))
+    widths, big_d = move_table(p, walk)
+    probs = np.divide(widths.T, big_d, order="C")
+    rows = move_row(walk, sites)
+    # tables[b]: per move that some site makes, each block-b cell's source
+    # in the other block (-1 outside the box or beyond distance n), and the
+    # move's probability at each cell of the other block.  Axis i's up move
+    # (column 2i + 1) comes before its down move (column 2i)
     tables: tuple[list, list] = ([], [])
-    for i, pair in enumerate(weights(coords)):
-        for step, w in zip((1, -1), pair):
-            if w is None:
-                continue
-            # the source is the pad where it leaves the box
-            inside = coords[i] != (0 if step == 1 else shape[i] - 1)
-            src = np.full(kept.size, -1, dtype=np.int32)
-            src[inside] = pos[kept[inside] - step * strides[i]]
-            spread = np.zeros(kept.size + 2)
-            spread[slots] = w
-            for b, o in ((0, 1), (1, 0)):
-                idx = src[ends[b]:ends[b + 1]]
-                tables[b].append((idx, spread[padded[o]][idx]))
-    # only the tables and the cells' indices outlive the build
-    del dist, pos, kept, level, key, order, slots, spread
-    P = [np.zeros(size + 1) for size in sizes]
+    made = widths.any(axis=0)
+    for j in (c ^ 1 for c in range(2 * dim)):
+        if not made[j]:
+            continue
+        i, step = j >> 1, (j & 1) * 2 - 1
+        src = pos.take(kept - step * strides[i], mode="wrap")
+        src[sites[i] == box[i][0 if step == 1 else -1]] = -1
+        prob = probs[j].take(rows)
+        for b in (0, 1):
+            tables[b].append((src[blocks[b]], prob[blocks[1 - b]]))
+    # only the tables and the cells' sites outlive the build
+    del dist, pos, kept, level, key, order, rows
+    P = [np.zeros(size) for size in sizes]
     P[0][0] = 1.0
-    cells = [tuple(c[a:b] for c in coords) for a, b in zip(ends, ends[1:])]
+    # a move's products over a block, then a last slot that stays 0.0; the
+    # cells a step has not reached stay 0.0 too
+    products = [np.zeros(size + 1) for size in sizes]
+    cells = [tuple(c[block] for c in sites) for block in blocks]
     term = np.empty(max(sizes))
     yield P[0][:1], tuple(c[:1] for c in cells[0])
     for k in range(1, n + 1):
         b = k % 2
-        m = reach[b][k]
-        src, out, buf = P[1 - b], P[b][:m], term[:m]
-        (first, w_first), *rest = tables[b]
-        src.take(first[:m], out=out, mode="wrap")
-        out *= w_first[:m]
-        for idx, w in rest:
-            src.take(idx[:m], out=buf, mode="wrap")
-            buf *= w[:m]
-            out += buf
+        m, m_src = reach[b][k], reach[1 - b][k - 1]
+        src, prod, out, buf = P[1 - b][:m_src], products[1 - b], P[b][:m], term[:m]
+        for t, (idx, prob) in enumerate(tables[b]):
+            np.multiply(src, prob[:m_src], out=prod[:m_src])
+            prod.take(idx[:m], out=buf if t else out, mode="wrap")
+            if t:
+                out += buf
         yield out, tuple(c[:m] for c in cells[b])
 
 
-def _site_order(values, cells, corner) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The nonzero values of a reading in C order of their sites, and those
-    sites, the cells shifted by the box's corner, an array per axis."""
+def _site_order(values, sites) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The nonzero values of a reading and their sites, in C order of the
+    sites."""
     keep = values != 0.0
-    cells = tuple(c[keep] for c in cells)
-    dims = [int(c.max(initial=0)) + 1 for c in cells]
-    order = np.argsort(np.ravel_multi_index(cells, dims))
-    return values[keep][order], tuple(c[order] + lo for c, lo in zip(cells, corner))
-
-
-def _move_weights(p: ModelParams, walk: str, coords):
-    """Per-axis (up, down) move probabilities of the walk at the sites with
-    the lattice coordinates in coords, one gather from kernel.move_table
-    per move; None for a move that no site makes (a down move at lam = 0)."""
-    widths, big_d = move_table(p, walk)
-    row = move_row(walk, coords)
-    probs = [col[row] if made else None
-             for col, made in zip((widths / big_d[:, None]).T, widths.any(axis=0))]
-    return list(zip(probs[1::2], probs[0::2]))
-
-
-def _integer(x) -> bool:
-    """Whether x is an integer, a numpy one included, and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    sites = tuple(c[keep] for c in sites)
+    # C order of the box spanned by the sites
+    offsets = [c - c.min(initial=np.iinfo(np.int64).max) for c in sites]
+    order = np.argsort(np.ravel_multi_index(offsets, [int(c.max(initial=0)) + 1 for c in offsets]))
+    return values[keep][order], tuple(c[order] for c in sites)
 
 
 def _finite_vector(name: str, v, dim: int) -> np.ndarray:
@@ -216,52 +200,39 @@ def _finite_vector(name: str, v, dim: int) -> np.ndarray:
 
 def _box(
     p: ModelParams, walk: str, start: State, n: int, max_cells: float
-) -> tuple[State, tuple[int, ...]]:
+) -> tuple[range, ...]:
     """Check the arguments of a sweep of the walk and its cell budget, and
-    return the corner and shape of its box: the smallest box holding the
-    reachable set, [0, start + n] for the reflected chain, else
+    return its box, a range of coordinates per axis: the smallest box
+    holding the reachable set, [0, start + n] for the reflected chain, else
     [start - n, start + n].  The budget counts the whole box, though only
     the cells within n of start are swept (see _evolve)."""
-    orthant = walk == "reflected"
-    if len(start) != p.dim:
-        raise ValueError(f"start has {len(start)} coordinates, expected {p.dim}")
-    if not all(_integer(c) for c in start):
-        raise ValueError(f"start must have integer coordinates, got {start}")
-    if orthant and any(c < 0 for c in start):
-        raise ValueError(f"start must lie in Z_+^{p.dim}, got {start}")
     if not _integer(n):
         raise ValueError(f"step count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    corner = (0,) * p.dim if orthant else tuple(c - n for c in start)
-    shape = tuple(c + n + 1 - lo for c, lo in zip(start, corner))
+    orthant = walk == "reflected"
+    start = _check_site(p, start, orthant=orthant, name="start", reach=n)
+    box = tuple(range(0 if orthant else c - n, c + n + 1) for c in start)
+    shape = tuple(map(len, box))
     if math.prod(shape) > max_cells:
         raise ResourceBudgetError(f"propagation grid needs {math.prod(shape)} cells "
                                   f"(shape {shape}), budget is {max_cells}")
-    return corner, shape
+    return box
 
 
 def _sweep(
     p: ModelParams, walk: str, start: State, n: int, max_cells: float
-) -> tuple[State, Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]]:
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
     """Check the arguments and budget of a sweep of the walk from start
-    (see _box), then return the site of its box's first cell and the
-    readings of its n steps (see _evolve).  Their cells are box indices,
-    which on the orthant are the sites."""
-    corner, shape = _box(p, walk, start, n, max_cells)
-    at = tuple(c - lo for c, lo in zip(start, corner))
-    return corner, _evolve(
-        shape, at,
-        lambda cells: _move_weights(p, walk, [c + i for c, i in zip(corner, cells)]), n,
-    )
+    (see _box), then return the readings of its n steps (see _evolve)."""
+    return _evolve(p, walk, start, n, _box(p, walk, start, n, max_cells))
 
 
 def _law(p, walk, start, n, max_cells) -> SparseDistribution:
     """The n-step law of the walk from start, keyed by lattice site in C
     order."""
-    corner, readings = _sweep(p, walk, start, n, max_cells)
-    *_, last = readings
-    values, sites = _site_order(*last, corner)
+    *_, last = _sweep(p, walk, start, n, max_cells)
+    values, sites = _site_order(*last)
     return dict(zip(zip(*(c.tolist() for c in sites)), values.tolist()))
 
 
@@ -357,17 +328,20 @@ def enumerate_oracle(
     stored double - so a comparison against the floating propagators
     measures arithmetic rounding only, with no parameter-conversion gap.
 
-    Masses are Fractions and sum to exactly 1.  The budget counts the
-    sites within L1 distance k of start summed over the steps k < n, and
+    Masses are Fractions and sum to exactly 1.  The budget bounds the
+    work: the sites within L1 distance k of start, summed over k <= n,
+    times 2d moves per site, each writing d coordinates and a rational of
+    up to n steps' digits, so the count is the sites times 2d (d + n).  It
     is checked at the call, before any step.
     """
     # the arguments of a signed sweep, with no cell budget
     _box(p, "signed", start, n, math.inf)
     d = p.dim
-    site_steps = sum(2**i * math.comb(d, i) * math.comb(n, i + 1) for i in range(d + 1))
-    if site_steps > max_site_steps:
-        raise ResourceBudgetError(f"oracle would step {site_steps} sites, "
-                                  f"budget is {max_site_steps}")
+    sites = sum(2**i * math.comb(d, i) * math.comb(n + 1, i + 1) for i in range(d + 1))
+    work = sites * 2 * d * (d + n)
+    if work > max_site_steps:
+        raise ResourceBudgetError(f"oracle would do {work} units of work "
+                                  f"({sites} sites), budget is {max_site_steps}")
     lam = Fraction(p.lam)
     law = {tuple(start): Fraction(1)}
     for _ in range(n):
@@ -411,12 +385,11 @@ def _log_law(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The tilt-independent part of log_mgf: ln of the nonzero masses of
     the n-step reflected law from start, in C order of their sites, and
-    those sites, an int32 array per axis.  Kept for the last few (p, start,
+    those sites, an int64 array per axis.  Kept for the last few (p, start,
     n), so that a run of tilts sweeps once; the caller has checked the
     arguments and the budget.  The arrays are read-only."""
-    corner, readings = _sweep(p, "reflected", start, n, math.inf)
-    *_, last = readings
-    values, sites = _site_order(*last, corner)
+    *_, last = _sweep(p, "reflected", start, n, math.inf)
+    values, sites = _site_order(*last)
     logs = np.log(values)
     for a in (logs, *sites):
         a.flags.writeable = False
@@ -471,8 +444,7 @@ def return_probability(
     """
     if horizon < 0 or horizon % 2:
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
-    _, readings = _sweep(p, "reflected", (0,) * p.dim, horizon, max_cells)
-    *_, (values, _) = readings
+    *_, (values, _) = _sweep(p, "reflected", (0,) * p.dim, horizon, max_cells)
     # a reading starts with the start's value
     return float(values[0])
 
@@ -485,7 +457,7 @@ def return_probability_profile(
 ) -> list[tuple[int, float]]:
     """All pairs (2m, P(X_{2m} = 0 | X_0 = 0)) with 2m <= max_horizon,
     from a single propagation sweep."""
-    _, readings = _sweep(p, "reflected", (0,) * p.dim, max_horizon, max_cells)
+    readings = _sweep(p, "reflected", (0,) * p.dim, max_horizon, max_cells)
     # a reading starts with the start's value
     return [(k, float(values[0])) for k, (values, _) in enumerate(readings) if k % 2 == 0]
 
@@ -572,20 +544,20 @@ def _dominations(
         raise ValueError(f"start must have every coordinate >= 1, got {start}")
     if mode == "lower" and first < 1:
         raise ValueError(f"need at least one step, got n={first}")
-    corner, signed = _sweep(p, "signed", start, n, max_cells)
-    _, drifted = _sweep(p, "drifted", start, n, max_cells)
-    return (_domination_report(p, mode, k, px, pz, cells, corner)
-            for k, ((px, cells), (pz, _)) in enumerate(zip(signed, drifted)) if k >= first)
+    signed = _sweep(p, "signed", start, n, max_cells)
+    drifted = _sweep(p, "drifted", start, n, max_cells)
+    return (_domination_report(p, mode, k, px, pz, sites)
+            for k, ((px, sites), (pz, _)) in enumerate(zip(signed, drifted)) if k >= first)
 
 
-def _domination_report(p, mode, n, px, pz, cells, corner) -> DominationReport:
+def _domination_report(p, mode, n, px, pz, sites) -> DominationReport:
     """The report at horizon n: px - scale * pz, scale 1 for the upper bound
-    and n^(-d) for the lower, over the orthant cells where the signed
+    and n^(-d) for the lower, over the orthant sites where the signed
     reading px or the drifted reading pz is nonzero.  The sweeps share their
-    box, so their level-ordered cells line up one for one."""
+    box, so their level-ordered sites line up one for one."""
     keep = (px != 0.0) | (pz != 0.0)
-    for c, lo in zip(cells, corner):
-        keep &= c >= -lo
+    for c in sites:
+        keep &= c >= 0
     scale = 1.0 if mode == "upper" else float(n) ** (-p.dim)
     diff = px[keep] - scale * pz[keep]
     worst = ({"max_violation": float(diff.max())} if mode == "upper"

@@ -27,6 +27,7 @@ their move probabilities from it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,6 +76,29 @@ class ModelParams:
         return np.full(self.dim, (1.0 - self.lam) / (self.dim * (1.0 + self.lam)))
 
 
+def _integer(x) -> bool:
+    """Whether x is an integer, a numpy one included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_site(
+    p: ModelParams, v, *, orthant: bool, name: str = "site", reach: int = 0
+) -> State:
+    """v as a tuple of ints, once it is checked to have d integer
+    coordinates, none negative on the orthant, that stay in the int64 range
+    for reach steps; else ValueError naming it."""
+    if len(v) != p.dim:
+        raise ValueError(f"{name} has {len(v)} coordinates, expected {p.dim}")
+    if not all(_integer(c) for c in v):
+        raise ValueError(f"{name} must have integer coordinates, got {v}")
+    if orthant and any(c < 0 for c in v):
+        raise ValueError(f"{name} must lie in Z_+^{p.dim}, got {v}")
+    v = tuple(int(c) for c in v)
+    if any(abs(c) + reach >= 2**63 for c in v):
+        raise ValueError(f"{name} must stay in the int64 range for {reach} steps, got {v}")
+    return v
+
+
 def kappa(v: State) -> int:
     """Number of zero coordinates of a lattice site."""
     return sum(1 for c in v if c == 0)
@@ -83,12 +107,13 @@ def kappa(v: State) -> int:
 def move_row(walk: str, coords):
     """Row of ``move_table(p, walk)`` for the sites with the given
     coordinates, one int or integer array per axis: sum_i [c_i = 0] 2^i
-    (reflected), sum_i (sign(c_i) + 1) 3^i (signed) or 0 (drifted)."""
+    (reflected), sum_i (sign(c_i) + 1) 3^i (signed) or 0 (drifted), shaped
+    like a coordinate."""
     if walk == "reflected":
         return sum((c == 0) << i for i, c in enumerate(coords))
     if walk == "signed":
         return sum((np.sign(c) + 1) * 3**i for i, c in enumerate(coords))
-    return 0
+    return np.zeros_like(coords[0])
 
 
 @lru_cache(maxsize=16)
@@ -130,21 +155,19 @@ def _rows(p: ModelParams, walk: str, sites) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([down, up], axis=2).reshape(len(c), 2 * d), big_d
 
 
-def _site_row(p: ModelParams, walk: str, v: State) -> tuple[np.ndarray, float]:
-    """The move_table row of site v and its weight D, once v is checked to
-    have d coordinates, none negative for the reflected chain."""
-    if len(v) != p.dim:
-        raise ValueError(f"site has {len(v)} coordinates, expected {p.dim}")
-    if walk == "reflected" and any(c < 0 for c in v):
-        raise ValueError(f"site must lie in Z_+^{p.dim}, got {v}")
+def _site_row(p: ModelParams, walk: str, v) -> tuple[State, np.ndarray, float]:
+    """Site v as a tuple of ints, once it is checked (see _check_site), on
+    the orthant for the reflected chain; its move_table row and the row's
+    weight D."""
+    v = _check_site(p, v, orthant=walk == "reflected")
     widths, big_d = _rows(p, walk, [v])
-    return widths[0], float(big_d[0])
+    return v, widths[0], float(big_d[0])
 
 
 def _one_step(p: ModelParams, walk: str, v: State) -> StepDistribution:
     """One-step law of the walk from site v, read from its move_table row;
     moves of probability 0 are left out."""
-    widths, big_d = _site_row(p, walk, v)
+    v, widths, big_d = _site_row(p, walk, v)
     dist: StepDistribution = {}
     for j, w in enumerate(widths.tolist()):
         prob = w / big_d
@@ -179,7 +202,7 @@ def drift(p: ModelParams, y: State) -> np.ndarray:
     """Expected one-step displacement E[|X_{n+1}| - |X_n|] of the reflected
     chain at y: coordinate i contributes 2/D on the boundary (y_i = 0) and
     (1-lam)/D off it."""
-    widths, big_d = _site_row(p, "reflected", y)
+    _, widths, big_d = _site_row(p, "reflected", y)
     return (widths[1::2] - widths[0::2]) / big_d
 
 

@@ -448,11 +448,10 @@ def ldp_consistency(
     if horizons and horizons[0] < 1:
         raise ValueError("horizons must be positive")
     limit = _halfspace_infimum(p, a)
-    # on the orthant a box index is the site; fsum ignores the order
-    origin = (0,) * p.dim
-    _, readings = exact._sweep(p, "reflected", origin, max(horizons, default=0), max_cells)
-    tails = {k: math.fsum(values[cells[0] >= math.ceil(a * k - 1e-9)])
-             for k, (values, cells) in enumerate(readings) if k in horizons}
+    # fsum ignores the order of the terms
+    readings = exact._sweep(p, "reflected", (0,) * p.dim, max(horizons, default=0), max_cells)
+    tails = {k: math.fsum(values[sites[0] >= math.ceil(a * k - 1e-9)])
+             for k, (values, sites) in enumerate(readings) if k in horizons}
     rows = []
     for n in horizons:
         tail = tails[n]

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, move_row, move_table
+from .kernel import ModelParams, State, _check_site, _integer, move_row, move_table
 
 _GAMMA = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
@@ -114,18 +114,13 @@ class SimPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.start) != self.params.dim:
-            raise ValueError(
-                f"start has {len(self.start)} coordinates, expected {self.params.dim}"
-            )
-        if any(c < 0 for c in self.start):
-            raise ValueError(f"start must lie in Z_+^d, got {self.start}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
-        if not 0 <= self.seed <= _MASK:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not _integer(self.steps) or self.steps < 0:
+            raise ValueError(f"steps must be a nonnegative integer, got {self.steps!r}")
+        if not _integer(self.paths) or self.paths < 1:
+            raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
+        if not _integer(self.seed) or not 0 <= self.seed <= _MASK:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_site(self.params, self.start, orthant=True, name="start", reach=self.steps)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,34 @@ def test_resource_budget_exits_two(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: --grid 100000 gives 1000000000000000 points in dimension 3, "
                    "budget is 100000\n")
+
+
+def test_rate_fn_grid_budget_in_a_huge_dimension_returns_at_once(capsys):
+    # 3 ** (10**30) is never formed: past 16 axes a grid of at least two
+    # steps per axis is over budget
+    argv = ["rate-fn", "--dim", "9" * 30, "--lambda", "0.5", "--grid", "3"]
+    started = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: --grid 3 gives more than 100000 points in dimension {'9' * 30}, "
+                   "budget is 100000\n")
+
+
+def test_dominate_from_a_far_start(capsys):
+    # past 2**31 the lower bound reads the rows of a start off the faces;
+    # a start beyond int64 is refused, naming the flag
+    argv = ["dominate", "--dim", "1", "--lambda", "0.5", "--mode", "lower", "--n-max", "3"]
+    rows = []
+    for start in ("4", str(2**31), str(2**40)):
+        code, out, _ = run_cli(argv + ["--start", start], capsys)
+        assert code == 0
+        rows.append(json.loads(out)["rows"])
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0][0]["min_slack"] == 0.0
+    code, out, err = run_cli(argv + ["--start", str(10**30)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --start ") and err.count("\n") == 1
 
 
 def test_dominate_counts_the_largest_box_before_any_step(monkeypatch, capsys):

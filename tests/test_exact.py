@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from biasedwalk import ModelParams, ResourceBudgetError, cli, exact
+from biasedwalk.kernel import move_row, move_table
 from biasedwalk.exact import (
     BallotCount,
     ballot_counts,
@@ -116,6 +117,25 @@ def test_propagate_full_folds_to_reflected():
             assert math.isclose(folded[y], refl[y], abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("far", [(2**31,), (2**40,), (2**31, -2**40), (2**63 - 4, 4 - 2**63)])
+def test_far_starts_give_the_small_start_laws_shifted(far):
+    # the signed and drifted sweeps read their sites in int64, so a start
+    # past 2**31 (or next to the edge of the int64 range) gives the law of a
+    # start off the faces, shifted bit for bit
+    p, n = ModelParams(len(far), 0.5), 3
+    near = tuple(n + 1 if c > 0 else -n - 1 for c in far)
+    for law in (propagate_full, propagate_drifted):
+        shifted = {tuple(y + f - s for y, f, s in zip(site, far, near)): mass
+                   for site, mass in law(p, near, n).items()}
+        assert law(p, far, n) == shifted
+    assert propagate_full(ModelParams(1, 0.5), (2**31,), 2) == {
+        (2**31 - 2,): 1 / 9, (2**31,): 4 / 9, (2**31 + 2,): 4 / 9}
+    # a box that leaves the int64 range is refused at the call
+    for start in ((2**63 - 3,) + far[1:], (10**30,) + far[1:]):
+        with pytest.raises(ValueError, match=r"start must stay in the int64 range for 3 steps"):
+            propagate_drifted(p, start, n)
+
+
 def test_propagate_budget():
     with pytest.raises(ResourceBudgetError):
         propagate(ModelParams(3, 0.5), (0, 0, 0), 500)
@@ -155,18 +175,22 @@ def _reference_evolve(shape, start_idx, axis_weights, n, snapshot=None):
     return P
 
 
-_FAMILIES = {
-    walk: (lambda p, coords, walk=walk: exact._move_weights(p, walk, coords),
-           walk == "reflected")
-    for walk in ("reflected", "signed", "drifted")
-}
+def _reference_weights(p, walk, coords):
+    """Per-axis (up, down) probabilities of the walk's moves over the box
+    whose lattice coordinates along axis i broadcast from coords[i], read
+    from kernel.move_table; None for a move that no site makes."""
+    widths, big_d = move_table(p, walk)
+    row = move_row(walk, coords)
+    probs = [widths[row, j] / big_d[row] if widths[:, j].any() else None
+             for j in range(2 * p.dim)]
+    return list(zip(probs[1::2], probs[0::2]))
 
 
-def _scattered(shape, values, cells):
+def _scattered(box, values, sites):
     """A reading's level-ordered values written into a zero grid of the
-    whole box at their cells."""
-    full = np.zeros(shape)
-    full[cells] = values
+    whole box at their sites."""
+    full = np.zeros(tuple(map(len, box)))
+    full[tuple(c - axis.start for c, axis in zip(sites, box))] = values
     return full
 
 
@@ -178,48 +202,45 @@ def _scattered(shape, values, cells):
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ),
     data=st.data(),
-    family=st.sampled_from(sorted(_FAMILIES)),
+    walk=st.sampled_from(["drifted", "reflected", "signed"]),
 )
-def test_reachable_sweep_matches_full_box_reference(d, lam, data, family):
+def test_reachable_sweep_matches_full_box_reference(d, lam, data, walk):
     # Starts on and off the faces, up to 25 steps (10 at d = 4).  The box is
     # the one exact._sweep builds, or, to reach the clip at its far edge,
     # that box cut short by up to two cells per axis, so that mass runs out
     # of it in both sweeps alike.  Every reading must equal the reference
     # bit for bit, and the last one, put in C order of its sites, must give
-    # the reference's nonzero cells in C order
+    # the reference's nonzero cells in C order, at int64 lattice sites
     n = data.draw(st.integers(0, 10 if d == 4 else 25))
     start = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
     cut = data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
     p = ModelParams(d, lam)
-    weights, orthant = _FAMILIES[family]
-    corner = (0,) * d if orthant else tuple(c - n for c in start)
-    at = tuple(c - lo for c, lo in zip(start, corner))
-    shape = tuple(max(a + 1, a + n + 1 - c) for a, c in zip(at, cut))
-    coords = [exact._axis_view(lo + np.arange(k), d, i)
-              for i, (lo, k) in enumerate(zip(corner, shape))]
+    box = tuple(axis[:max(c - axis.start + 1, len(axis) - k)]
+                for axis, c, k in zip(exact._box(p, walk, start, n, math.inf), start, cut))
+    coords = [exact._axis_view(np.arange(axis.start, axis.stop), d, i)
+              for i, axis in enumerate(box)]
     expected = []
-    final = _reference_evolve(shape, at, weights(p, coords), n,
+    final = _reference_evolve(tuple(map(len, box)),
+                              tuple(c - axis.start for c, axis in zip(start, box)),
+                              _reference_weights(p, walk, coords), n,
                               lambda k, grid: expected.append(grid.copy()))
-    readings = exact._evolve(
-        shape, at, lambda cells: weights(p, [a + c for a, c in zip(corner, cells)]), n,
-    )
     k = -1
-    for k, (values, cells) in enumerate(readings):
-        assert np.array_equal(_scattered(shape, values, cells), expected[k]), k
+    for k, (values, sites) in enumerate(exact._evolve(p, walk, start, n, box)):
+        assert np.array_equal(_scattered(box, values, sites), expected[k]), k
     assert k == len(expected) - 1 == n
     nz = np.nonzero(final)
-    got, sites = exact._site_order(values, cells, corner)
+    got, sites = exact._site_order(values, sites)
     assert np.array_equal(got, final[nz])
-    assert all(np.array_equal(s, i + lo) for s, i, lo in zip(sites, nz, corner))
+    assert all(s.dtype == np.int64 and np.array_equal(s, i + axis.start)
+               for s, i, axis in zip(sites, nz, box))
 
 
 def test_reachable_sweep_peak_memory():
     # a d=3 sweep keeps its tables over the reachable cells only: the whole
     # box costs one int32 array
     def sweep(n):
-        _, readings = exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), n,
-                                   exact.DEFAULT_MAX_CELLS)
-        for _ in readings:
+        for _ in exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), n,
+                              exact.DEFAULT_MAX_CELLS):
             pass
 
     sweep(2)
@@ -357,18 +378,24 @@ def test_oracle_matches_propagators():
 
 
 def test_oracle_budget(monkeypatch):
-    # d=2 at n=25 steps 10425 sites, over the default budget; the count is
-    # made at the call, before any step
+    # the count weighs each site by its 2d moves of d coordinates and a
+    # rational of up to n steps, counts the last level's sites too, and is
+    # made at the call, before any step.  The ranges pinned by the
+    # long-horizon property fit, and no more
     def no_step(*args):
         raise AssertionError("stepped a request over budget")
 
     monkeypatch.setattr(exact, "_rational_moves", no_step)
-    with pytest.raises(ResourceBudgetError, match=r"step 10425 sites, budget is 10000$"):
-        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 25)
-    with pytest.raises(ResourceBudgetError, match=r"step 9224 sites, budget is 9223$"):
-        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24, max_site_steps=9223)
+    for d, n, sites, work in [(2, 25, 11726, 1266408), (3, 13, 12936, 1241856),
+                              (48, 3, 156996, 768652416), (64, 3, 366340, 3141731840)]:
+        message = rf"do {work} units of work \({sites} sites\), budget is 1100000$"
+        with pytest.raises(ResourceBudgetError, match=message):
+            enumerate_oracle(ModelParams(d, 0.5), (0,) * d, n)
+    with pytest.raises(ResourceBudgetError, match=r"do 1084200 units .* budget is 1084199$"):
+        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24, max_site_steps=1084199)
     monkeypatch.undo()
     assert sum(enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24).values()) == 1
+    assert sum(enumerate_oracle(ModelParams(3, 0.5), (0, 0, 0), 12).values()) == 1
 
 
 def brute_oracle(p: ModelParams, start, n: int) -> dict:
@@ -436,6 +463,38 @@ def test_propagators_match_oracle_at_long_horizons(d, lam, n, site, tilt):
     ref = math.log(math.fsum(float(q) * math.exp(math.fsum(c * k for c, k in zip(s, y)))
                              for y, q in folded.items()))
     assert abs(log_mgf(p, start, n, s) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def _drifted_laws(p: ModelParams, start, n: int):
+    """The laws of the drifted walk after 0, 1, ..., n steps from start, in
+    exact rationals, by a DP over its constant kernel: +e_i with probability
+    1/(d(1 + lam)) and -e_i with lam/(d(1 + lam)) from every site."""
+    d, lam = p.dim, Fraction(p.lam)
+    moves = [(i, 1, 1 / (d * (1 + lam))) for i in range(d)]
+    moves += [(i, -1, lam / (d * (1 + lam))) for i in range(d) if lam]
+    law = {tuple(start): Fraction(1)}
+    yield law
+    for _ in range(n):
+        step: dict = {}
+        for v, mass in law.items():
+            for i, delta, prob in moves:
+                u = v[:i] + (v[i] + delta,) + v[i + 1:]
+                step[u] = step.get(u, 0) + mass * prob
+        law = step
+        yield law
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_drifted_law_matches_rational_dp(d):
+    # every horizon up to 12, from starts on and off the faces, within the
+    # signed pin's tolerance; lam = 5e-324 gives large rationals, so it
+    # stops sooner
+    for lam in (0.0, 5e-324, 0.3, 1.0 - 2.0**-53):
+        p = ModelParams(d, lam)
+        n_max = (12, 8, 4)[d - 1] if lam == 5e-324 else 12
+        for start in ((0,) * d, (2,) + (-1,) * (d - 1)):
+            for n, law in enumerate(_drifted_laws(p, start, n_max)):
+                _assert_matches_oracle(propagate_drifted(p, start, n), law)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +656,7 @@ def test_log_mgf_kept_law_gives_the_swept_bits(d, lam, n, site, tilts, others):
         assert info.currsize <= info.maxsize
     assert info.hits >= len(tilts) - 1
     logs, sites = exact._log_law(p, start, n)
-    assert all(a.dtype == np.int32 for a in sites)
+    assert all(a.dtype == np.int64 for a in sites)
     for a in (logs, *sites):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

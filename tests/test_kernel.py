@@ -186,6 +186,19 @@ def test_validation_errors():
         reflected_kernel(p, (1, -1))
     with pytest.raises(ValueError):
         drift(p, (-1, 0))
+    # the check the exact sweeps and simulation plans share: integer,
+    # non-bool coordinates, in the int64 range
+    for call, site, message in [
+        (reflected_kernel, (0.5, 0), "integer coordinates"),
+        (full_kernel, (True, 0), "integer coordinates"),
+        (drifted_kernel, (0, np.float64(1.0)), "integer coordinates"),
+        (drift, (1, None), "integer coordinates"),
+        (full_kernel, (2**63, 0), "int64 range"),
+        (drifted_kernel, (0, -2**63), "int64 range"),
+    ]:
+        with pytest.raises(ValueError, match=f"^site .*{message}"):
+            call(p, site)
+    assert full_kernel(p, (np.int64(2**63 - 1), 0))[(2**63, 0)] == 1 / 3.5
 
 
 # ---------------------------------------------------------------------------

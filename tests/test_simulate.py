@@ -279,6 +279,21 @@ def test_plan_validation():
         SimPlan(ModelParams(2, 0.5), (0, 0), 10, 0)
     with pytest.raises(ValueError):
         SimPlan(ModelParams(2, 0.5), (0, 0), 10, 1, seed=-1)
+    # the site check the kernels and the exact sweeps share, and integer,
+    # non-bool counts
+    for kwargs, message in [
+        ({"start": (0.5, 0)}, "start must have integer coordinates"),
+        ({"start": (True, 0)}, "start must have integer coordinates"),
+        ({"start": (2**63 - 10, 0)}, "start must stay in the int64 range for 10 steps"),
+        ({"steps": True}, "steps must be a nonnegative integer"),
+        ({"steps": 2.0}, "steps must be a nonnegative integer"),
+        ({"paths": True}, "paths must be an integer >= 1"),
+        ({"seed": True}, "seed must be a 64-bit unsigned integer"),
+    ]:
+        plan = {"params": ModelParams(2, 0.5), "start": (0, 0), "steps": 10, "paths": 3,
+                **kwargs}
+        with pytest.raises(ValueError, match=message):
+            SimPlan(**plan)
     with pytest.raises(ValueError):
         trajectory(SimPlan(ModelParams(2, 0.5), (0, 0), 10, 2))
     with pytest.raises(ValueError):
