@@ -565,7 +565,9 @@ _COMMANDS = {
         _Command(
             "ballot",
             (
-                _Opt("n", "int", lo=1, help="number of steps"),
+                # the largest n whose counts render within Python's default
+                # 4300 digits: n * floored has 4301 at n 14285, beta 119
+                _Opt("n", "int", lo=1, hi=14_284, help="number of steps"),
                 _Opt("alpha", "int", help="start level"),
                 _Opt("beta", "int", help="end level"),
             ),

@@ -5,8 +5,8 @@ n steps the walk started at x lives in a box of side O(n), so its law can be
 propagated exactly (up to double rounding) with no truncation.  The three
 propagators share one sweep, which differs only in its box ([0, x + n] for
 the reflected chain, [x - n, x + n] for the signed and drifted walks) and
-in its walk: each cell reads its move probabilities from the row of
-``kernel.move_table`` that ``kernel.move_row`` gives for its lattice site.
+in its walk: each cell reads its move probabilities from the walk's law
+at its lattice site, ``kernel._moves``, given the kept cells' sites at once.
 The sweep keeps only the box cells within L1 distance n of x, in two
 parity blocks ordered by distance, and step k updates only the cells
 within distance k whose distance has the parity of k: the reachable set.
@@ -16,7 +16,8 @@ of many horizons needs one sweep, and a start far from the origin is
 swept as a near one is.  A start whose box leaves the int64 range raises
 ValueError.  Truncating would silently void the inequality checks, so none is
 performed; requests whose whole box would exceed the configured cell
-budget raise ResourceBudgetError instead, at the call, before any step.
+budget raise ResourceBudgetError instead, at the call, before any step;
+a sweep holds an int32 per box cell, so the budget bounds its memory too.
 
 The module provides
 
@@ -53,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, _check_site, _integer, kappa, move_row, move_table
+from .kernel import ModelParams, State, _check_site, _integer, _moves, kappa
 
 SparseDistribution = dict[State, float]
 
@@ -61,8 +62,10 @@ SparseDistribution = dict[State, float]
 DEFAULT_MAX_CELLS = 2_000_000
 
 # Work budget for the rational oracle (see enumerate_oracle): d=1 to n=80,
-# d=2 to n=24 and d=3 to n=12 fit, each in under a second at lam = 0.3.
-DEFAULT_MAX_SITE_STEPS = 1_100_000
+# d=2 to n=24 and d=3 to n=12 fit, each in under a second at lam = 0.3,
+# and d=1 to n=29, d=2 to n=11 and d=3 to n=6 at lam = 5e-324.
+DEFAULT_MAX_WORK = 1_100_000
+_LAM_BITS = 55  # bit length of Fraction(0.3).denominator, the count's unit
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +87,9 @@ def _evolve(
     of sites whose coordinates along each axis are box's range for it,
     yielding a reading after each step k = 0, 1, ..., n.
 
-    A cell moves by the row of kernel.move_table that kernel.move_row gives
-    for its site.  A move out of the box is dropped, so the box must
-    contain the n-step reachable set.
+    A cell moves with the probabilities of kernel._moves at its site.  A
+    move out of the box is dropped, so the box must contain the n-step
+    reachable set.
 
     Every step moves the L1 distance from the start by one, so after k
     steps the mass lies on the cells within distance k of the start whose
@@ -136,26 +139,24 @@ def _evolve(
     strides = [math.prod(shape[i + 1:]) for i in range(dim)]
     sites = tuple(np.add(kept // stride % len(axis), axis.start, dtype=np.int64)
                   for stride, axis in zip(strides, box))
-    widths, big_d = move_table(p, walk)
-    probs = np.divide(widths.T, big_d, order="C")
-    rows = move_row(walk, sites)
-    # tables[b]: per move that some site makes, each block-b cell's source
-    # in the other block (-1 outside the box or beyond distance n), and the
-    # move's probability at each cell of the other block.  Axis i's up move
-    # (column 2i + 1) comes before its down move (column 2i)
+    widths, big_d = _moves(p, walk, sites)
+    # tables[b]: per move that some kept cell makes, each block-b cell's
+    # source in the other block (-1 outside the box or beyond distance n),
+    # and the move's probability at each cell of the other block.  Axis i's
+    # up move comes before its down move
     tables: tuple[list, list] = ([], [])
-    made = widths.any(axis=0)
-    for j in (c ^ 1 for c in range(2 * dim)):
-        if not made[j]:
-            continue
-        i, step = j >> 1, (j & 1) * 2 - 1
-        src = pos.take(kept - step * strides[i], mode="wrap")
-        src[sites[i] == box[i][0 if step == 1 else -1]] = -1
-        prob = probs[j].take(rows)
-        for b in (0, 1):
-            tables[b].append((src[blocks[b]], prob[blocks[1 - b]]))
+    for i, (down, up) in enumerate(widths):
+        for step, prob in ((1, up), (-1, down)):
+            if not np.count_nonzero(prob):
+                continue
+            src = pos.take(kept - step * strides[i], mode="wrap")
+            src[sites[i] == box[i][0 if step == 1 else -1]] = -1
+            # the widths are the law's own arrays: divide them in place
+            np.divide(prob, big_d, out=prob)
+            for b in (0, 1):
+                tables[b].append((src[blocks[b]], prob[blocks[1 - b]]))
     # only the tables and the cells' sites outlive the build
-    del dist, pos, kept, level, key, order, rows
+    del dist, pos, kept, level, key, order, widths, big_d
     P = [np.zeros(size) for size in sizes]
     P[0][0] = 1.0
     # a move's products over a block, then a last slot that stays 0.0; the
@@ -299,7 +300,7 @@ def fold_to_orthant(dist: dict) -> dict:
 
 def _rational_moves(lam: Fraction, v: State) -> list[tuple[State, Fraction]]:
     """The signed walk's moves out of v and their probabilities, in exact
-    rationals; coded apart from kernel.move_table, which is pinned to it."""
+    rationals; coded apart from kernel._moves, which is pinned to it."""
     d = len(v)
     big_d = d + kappa(v) + lam * (d - kappa(v))
     moves = []
@@ -317,7 +318,7 @@ def enumerate_oracle(
     start: State,
     n: int,
     *,
-    max_site_steps: int = DEFAULT_MAX_SITE_STEPS,
+    max_work: int = DEFAULT_MAX_WORK,
 ) -> dict[State, Fraction]:
     """Exact n-step law of the signed walk in rational arithmetic.
 
@@ -331,18 +332,21 @@ def enumerate_oracle(
     Masses are Fractions and sum to exactly 1.  The budget bounds the
     work: the sites within L1 distance k of start, summed over k <= n,
     times 2d moves per site, each writing d coordinates and a rational of
-    up to n steps' digits, so the count is the sites times 2d (d + n).  It
-    is checked at the call, before any step.
+    up to n steps' digits.  A step's digits grow with the bit length b of
+    the denominator of Fraction(lam), 55 at lam = 0.3 and 1075 at 5e-324,
+    so the count is the sites times 2d (d + n max(b, 55) / 55), rounded
+    down: a lam with a shorter rational counts as 0.3 does.  It is checked
+    at the call, before any step.
     """
     # the arguments of a signed sweep, with no cell budget
     _box(p, "signed", start, n, math.inf)
-    d = p.dim
+    d, lam = p.dim, Fraction(p.lam)
     sites = sum(2**i * math.comb(d, i) * math.comb(n + 1, i + 1) for i in range(d + 1))
-    work = sites * 2 * d * (d + n)
-    if work > max_site_steps:
+    bits = max(lam.denominator.bit_length(), _LAM_BITS)
+    work = sites * 2 * d * (d * _LAM_BITS + n * bits) // _LAM_BITS
+    if work > max_work:
         raise ResourceBudgetError(f"oracle would do {work} units of work "
-                                  f"({sites} sites), budget is {max_site_steps}")
-    lam = Fraction(p.lam)
+                                  f"({sites} sites), budget is {max_work}")
     law = {tuple(start): Fraction(1)}
     for _ in range(n):
         step: dict[State, Fraction] = {}

@@ -18,10 +18,10 @@ Because the coordinate signs never flip, the vector of absolute values
 terms of that chain, plus a translation-invariant comparison walk Z with
 the same inward/outward step weights but no boundary interaction.
 
-These weights are written down once, in ``move_table``: a table of move
-widths for each of the three walks, with one row per kind of site.  The
-one-step laws below, the exact propagators and the simulator all read
-their move probabilities from it.
+These weights are written down once, in ``_moves``: each walk's move
+widths and D at a site, or at many sites given as an array per axis.  The
+one-step laws below, the exact propagators and the simulator's table all
+read their move probabilities from it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,76 +103,41 @@ def kappa(v: State) -> int:
     return sum(1 for c in v if c == 0)
 
 
-def move_row(walk: str, coords):
-    """Row of ``move_table(p, walk)`` for the sites with the given
-    coordinates, one int or integer array per axis: sum_i [c_i = 0] 2^i
-    (reflected), sum_i (sign(c_i) + 1) 3^i (signed) or 0 (drifted), shaped
-    like a coordinate."""
-    if walk == "reflected":
-        return sum((c == 0) << i for i, c in enumerate(coords))
-    if walk == "signed":
-        return sum((np.sign(c) + 1) * 3**i for i, c in enumerate(coords))
-    return np.zeros_like(coords[0])
-
-
-@lru_cache(maxsize=16)
-def move_table(p: ModelParams, walk: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised move widths of one walk, a row per kind of site, and
-    each row's weight D: from a site of row r (see move_row) the walk makes
-    move j, a step of -1 (even j) or +1 (odd j) on coordinate j >> 1, with
-    probability widths[r, j] / D[r].  The arrays are read-only.
-
-    ``"signed"`` is the walk on Z^d, with a row per sign pattern: width lam
-    inward and 1 otherwise.  ``"reflected"`` is the chain of absolute
-    values, with a row per zero pattern: both signed moves off a zero
-    coordinate fold onto its up move, of width 2, and its down move has
-    width 0.  ``"drifted"`` is the free comparison walk, with the one row
-    (lam, 1, lam, 1, ...) and D = d * (1 + lam).
-    """
-    base = {"reflected": 2, "signed": 3, "drifted": 1}[walk]
-    digit = np.arange(base**p.dim)[:, None] // base ** np.arange(p.dim) % base
-    # one site of each row, in row order
-    widths, big_d = _rows(p, walk, 1 - digit if walk == "reflected" else digit - 1)
-    widths.flags.writeable = big_d.flags.writeable = False
-    return widths, big_d
-
-
-def _rows(p: ModelParams, walk: str, sites) -> tuple[np.ndarray, np.ndarray]:
-    """The move_table rows of the sites, an integer array of shape (k, d)."""
+def _moves(p: ModelParams, walk: str, coords) -> tuple[list[tuple], float | np.ndarray]:
+    """Move widths of the walk at the sites with the given coordinates, one
+    int or int64 array per axis, as a (down, up) pair per axis, and the
+    sites' weight D: from a site the walk steps -1 (down) or +1 (up) on axis
+    i with probability width / D.  ``"signed"`` is the walk on Z^d: width
+    lam inward and 1 otherwise.  ``"reflected"`` is the chain of absolute
+    values: both signed moves off a zero coordinate fold onto its up move,
+    of width 2, and its down move has width 0.  ``"drifted"`` is the free
+    comparison walk: widths (lam, 1) and D = d * (1 + lam) at every site."""
     d, lam = p.dim, p.lam
-    # the drifted walk moves as the signed walk does off every hyperplane
-    c = np.ones_like(sites) if walk == "drifted" else np.asarray(sites)
-    zero = c == 0
-    if walk == "reflected":
-        down, up = np.where(zero, 0.0, lam), np.where(zero, 2.0, 1.0)
-    else:
-        down, up = np.where(c > 0, lam, 1.0), np.where(c < 0, lam, 1.0)
-    kap = zero.sum(axis=1)
-    big_d = d + kap + lam * (d - kap)
     if walk == "drifted":
-        big_d = np.full(len(c), d * (1.0 + lam))
-    return np.stack([down, up], axis=2).reshape(len(c), 2 * d), big_d
+        # the signed walk's widths off every hyperplane, at every site
+        widths = [(np.full(np.shape(c), lam), np.ones(np.shape(c))) for c in coords]
+        return widths, d * (1.0 + lam)
+    zero = [c == 0 for c in coords]
+    if walk == "reflected":
+        widths = [(np.where(z, 0.0, lam), np.where(z, 2.0, 1.0)) for z in zero]
+    else:
+        widths = [(np.where(c > 0, lam, 1.0), np.where(c < 0, lam, 1.0)) for c in coords]
+    kap = sum(zero)
+    return widths, d + kap + lam * (d - kap)
 
 
-def _site_row(p: ModelParams, walk: str, v) -> tuple[State, np.ndarray, float]:
-    """Site v as a tuple of ints, once it is checked (see _check_site), on
-    the orthant for the reflected chain; its move_table row and the row's
-    weight D."""
+def _one_step(p: ModelParams, walk: str, v) -> StepDistribution:
+    """One-step law of the walk from site v, once it is checked (see
+    _check_site), on the orthant for the reflected chain; moves of
+    probability 0 are left out."""
     v = _check_site(p, v, orthant=walk == "reflected")
-    widths, big_d = _rows(p, walk, [v])
-    return v, widths[0], float(big_d[0])
-
-
-def _one_step(p: ModelParams, walk: str, v: State) -> StepDistribution:
-    """One-step law of the walk from site v, read from its move_table row;
-    moves of probability 0 are left out."""
-    v, widths, big_d = _site_row(p, walk, v)
+    widths, big_d = _moves(p, walk, v)
     dist: StepDistribution = {}
-    for j, w in enumerate(widths.tolist()):
-        prob = w / big_d
-        if prob > 0.0:
-            i = j >> 1
-            dist[v[:i] + (v[i] + (j & 1) * 2 - 1,) + v[i + 1 :]] = prob
+    for i, pair in enumerate(widths):
+        for step, w in zip((-1, 1), pair):
+            prob = float(w) / float(big_d)
+            if prob > 0.0:
+                dist[v[:i] + (v[i] + step,) + v[i + 1 :]] = prob
     return dist
 
 
@@ -202,8 +166,8 @@ def drift(p: ModelParams, y: State) -> np.ndarray:
     """Expected one-step displacement E[|X_{n+1}| - |X_n|] of the reflected
     chain at y: coordinate i contributes 2/D on the boundary (y_i = 0) and
     (1-lam)/D off it."""
-    _, widths, big_d = _site_row(p, "reflected", y)
-    return (widths[1::2] - widths[0::2]) / big_d
+    widths, big_d = _moves(p, "reflected", _check_site(p, y, orthant=True))
+    return np.array([up - down for down, up in widths]) / float(big_d)
 
 
 def drifted_kernel(p: ModelParams, z: State) -> StepDistribution:

@@ -356,14 +356,23 @@ class PiecewiseLinearPath:
 
 def path_from_json(source) -> PiecewiseLinearPath:
     """Build a path from a JSON array of {"t": ..., "phi": [...]} rows (or
-    from the already-parsed list of dicts)."""
+    from the already-parsed list of dicts).  Each t, and each entry of
+    each phi list, must be a JSON number: a string or a boolean raises
+    ValueError naming its key."""
     rows = json.loads(source) if isinstance(source, (str, bytes)) else source
     try:
         times = tuple(row["t"] for row in rows)
-        values = tuple(tuple(row["phi"]) for row in rows)
+        values = tuple(row["phi"] for row in rows)
     except (TypeError, KeyError) as err:
         raise ValueError("each breakpoint needs keys 't' and 'phi'") from err
-    return PiecewiseLinearPath(times=times, values=values)
+    for phi in values:
+        if not isinstance(phi, list):
+            raise ValueError(f"'phi' must be a list of numbers, got {phi!r}")
+    for key, entries in (("t", times), ("phi", [c for phi in values for c in phi])):
+        for x in entries:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"'{key}' entries must be JSON numbers, got {x!r}")
+    return PiecewiseLinearPath(times=times, values=tuple(map(tuple, values)))
 
 
 def path_rate_functional(p: ModelParams, path: PiecewiseLinearPath) -> float:

@@ -15,7 +15,7 @@ path j never depends on how many other paths run beside it.
 
 Each step converts one uniform u into a move by inverse transform over the
 2d cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] of the row of
-kernel.move_table("reflected") that the source site's zero pattern
+the run's move table (see _table) that the source site's zero pattern
 selects: the move is the number of running width totals of the row,
 summed left to right up to the next-to-last cell, that do not exceed u*D.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, _check_site, _integer, move_row, move_table
+from .kernel import ModelParams, State, _check_site, _integer, _moves
 
 _GAMMA = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
@@ -64,6 +64,21 @@ _NEAR_ROWS = 4096
 _PAD = 64
 # The move table has a row per zero pattern, 2**dim of them.
 _MAX_DIM = 16
+
+
+def _table(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The law of kernel._moves for the reflected chain by zero pattern:
+    from a site of row r (see _row) it makes move j, a step of -1 (even j)
+    or +1 (odd j) on coordinate j >> 1, with probability widths[r, j] / D[r]."""
+    r = np.arange(2**p.dim)
+    # one site of each row: coordinate i is 0 where bit i of r is set, else 1
+    widths, big_d = _moves(p, "reflected", [1 - (r >> i & 1) for i in range(p.dim)])
+    return np.stack([w for pair in widths for w in pair], axis=1), big_d
+
+
+def _row(Y) -> np.ndarray:
+    """Table row of the sites with coordinates Y[i]: sum_i [Y_i = 0] 2^i."""
+    return sum((c == 0) << i for i, c in enumerate(Y))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -184,7 +199,7 @@ class _Walk:
         if keep_path:
             self.history = np.empty((plan.steps + 1, m, d), dtype=np.int64)
             self.history[0] = self.Y.T
-        self.widths, self.big_d = move_table(p, "reflected")
+        self.widths, self.big_d = _table(p)
         # cum[j, r]: the widths of cells 0..j of row r, summed left to right
         self.cum = np.ascontiguousarray(np.cumsum(self.widths, axis=1).T)
         self.moves = np.zeros(self.widths.shape, dtype=np.int64)
@@ -229,12 +244,12 @@ class _Walk:
         lane = np.arange(c)
         visits = np.zeros(c, dtype=np.int64)
         keys = np.empty((k, c), dtype=np.int64)
-        row = move_row("reflected", Y)
+        row = _row(Y)
         for s in range(k):
             idx = self.cell_index(row, _step_uniforms(streams, t0 + s) * self.big_d[row])
             keys[s] = row * (2 * d) + idx
             Y[idx >> 1, lane] += ((idx & 1) << 1) - 1
-            row = move_row("reflected", Y)
+            row = _row(Y)
             visits += row > 0
             if self.history is not None:
                 self.history[t0 + s + 1, rows] = Y.T

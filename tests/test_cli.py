@@ -109,6 +109,10 @@ def test_no_subcommand_exits_one(capsys):
           "99999999999999999999999"], "--seed"),
         (["ballot", "--dim", "1", "--lambda", "0.5", "--n", "0", "--alpha", "0",
           "--beta", "0"], "--n"),
+        (["ballot", "--dim", "1", "--lambda", "0", "--n", "14285", "--alpha", "0",
+          "--beta", "119"], "--n"),
+        (["ballot", "--dim", "1", "--lambda", "0", "--n", "10000000", "--alpha", "0",
+          "--beta", "0"], "--n"),
         (["ldp-consistency", "--dim", "1", "--lambda", "0.5", "--a", "nan",
           "--n-list", "10"], "--a"),
         (["dominate", "--dim", "2", "--lambda", "0.5", "--mode", "lower",
@@ -437,6 +441,25 @@ def test_ballot_payload(capsys):
     assert body["satisfied"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ballot_renders_every_count_up_to_its_bound(fmt, capsys):
+    # at the largest n the counts render under the default limit on int
+    # digits, gap 118 giving the longest; one step more, gap 119 gives a
+    # count past it, so --n stops there
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, _ = run_cli(
+        ["ballot", "--dim", "1", "--lambda", "0", "--n", "14284", "--alpha", "0",
+         "--beta", "118", "--format", fmt],
+        capsys,
+    )
+    assert code == 0
+    count = exact.ballot_counts(14284, 0, 118)
+    assert len(str(14284 * count.floored)) == 4300
+    assert str(14284 * count.floored) in out and str(count.total) in out
+    over = exact.ballot_counts(14285, 0, 119)
+    assert 14285 * over.floored >= 10**4300
+
+
 def test_dominate_upper_rows(capsys):
     _, out, _ = run_cli(
         ["dominate", "--dim", "1", "--lambda", "0.25", "--mode", "upper",
@@ -489,6 +512,19 @@ def test_path_rate_dim_mismatch_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "--path" in err or "--dim" in err
+
+
+@pytest.mark.parametrize("row", ['{"t": true, "phi": [0.2, 0.1]}',
+                                 '{"t": 1, "phi": ["0.2", "0.1"]}',
+                                 '{"t": 1, "phi": "11"}'])
+def test_path_rate_non_numbers_exit_one(tmp_path, capsys, row):
+    src = tmp_path / "path.json"
+    src.write_text('[{"t": 0, "phi": [0, 0]}, ' + row + ']')
+    code, out, err = run_cli(
+        ["path-rate", "--dim", "2", "--lambda", "0.5", "--path", str(src)], capsys
+    )
+    assert code == 1 and out == ""
+    assert "'t'" in err or "'phi'" in err
 
 
 def test_ldp_consistency_rows_match_library(capsys):
@@ -654,3 +690,33 @@ def test_runtime_needs_no_scipy():
     assert loaded == "[]"
     assert fresh(_WITHOUT_SCIPY).split() == [
         "rate-fn", "0", "mgf", "0", "ldp-consistency", "0", "matrix-check", "0"]
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+_MAX_RSS = """
+import contextlib, io, resource, sys
+from biasedwalk import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominate", "--dim", "13", "--lambda", "0.5", "--mode", "upper", "--n-max", "1"],
+    ["return-prob", "--dim", "20", "--lambda", "0.5", "--n-max", "1"],
+])
+def test_one_step_sweeps_in_high_dimension_stay_small(argv):
+    # the cell budget admits these boxes, 3^13 and 2^20 cells, though the
+    # walk reaches only 27 and 41 cells of them: a fresh process runs each
+    # in under 200 MiB of resident memory (ru_maxrss is in KiB on Linux)
+    env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _MAX_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, max_rss = map(int, out.split())
+    assert code == 0
+    assert max_rss < 200 * 1024, max_rss

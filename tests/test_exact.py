@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from biasedwalk import ModelParams, ResourceBudgetError, cli, exact
-from biasedwalk.kernel import move_row, move_table
+from biasedwalk.kernel import _moves
 from biasedwalk.exact import (
     BallotCount,
     ballot_counts,
@@ -178,12 +179,10 @@ def _reference_evolve(shape, start_idx, axis_weights, n, snapshot=None):
 def _reference_weights(p, walk, coords):
     """Per-axis (up, down) probabilities of the walk's moves over the box
     whose lattice coordinates along axis i broadcast from coords[i], read
-    from kernel.move_table; None for a move that no site makes."""
-    widths, big_d = move_table(p, walk)
-    row = move_row(walk, coords)
-    probs = [widths[row, j] / big_d[row] if widths[:, j].any() else None
-             for j in range(2 * p.dim)]
-    return list(zip(probs[1::2], probs[0::2]))
+    from the per-site law kernel._moves; None for a move that no site of
+    the box makes."""
+    widths, big_d = _moves(p, walk, coords)
+    return [tuple(w / big_d if w.any() else None for w in (up, down)) for down, up in widths]
 
 
 def _scattered(box, values, sites):
@@ -253,21 +252,47 @@ def test_reachable_sweep_peak_memory():
     assert peak < 40 * 2**20, peak
 
 
-@pytest.mark.parametrize("d, bound", [(10, 2**20), (12, 4 * 2**20)])
-def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, bound):
-    # one step from the origin needs a box of 2^d cells, which the budget
-    # allows; a distance array over the box framed by one cell per side
-    # would hold 4^d cells (4 MiB at d = 10, 64 MiB at d = 12)
+def _cells(law):
+    """The sites of a one-step law, once its mass is checked to be 1."""
+    assert math.isclose(math.fsum(law.values()), 1.0)
+    return len(law)
+
+
+def _reflected_step(p):
+    return _cells(propagate(p, (0,) * p.dim, 1, max_cells=2**p.dim))
+
+
+def _signed_step(p):
+    return _cells(propagate_full(p, (0,) * p.dim, 1))
+
+
+def _upper_step(p):
+    (report,) = domination_profile(p, "upper", 1)
+    return report.cells_checked
+
+
+@pytest.mark.parametrize("d, step, size, bound", [
+    (10, _reflected_step, 10, 2**20),
+    (12, _reflected_step, 12, 4 * 2**20),
+    (20, _reflected_step, 20, 16 * 2**20),
+    (12, _signed_step, 24, 8 * 2**20),
+    (13, _upper_step, 13, 16 * 2**20),
+])
+def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, step, size, bound):
+    # one step from the origin needs a box of 2^d cells (3^d for the signed
+    # and drifted walks), which the budget allows; a distance array over
+    # the box framed by one cell per side would hold 4^d cells (4 MiB at
+    # d = 10, 64 MiB at d = 12), and a move table with a row per zero
+    # pattern or sign pattern 2^d or 3^d rows of 2d widths.  Measured cold
     p = ModelParams(d, 0.5)
-    propagate(p, (0,) * d, 1, max_cells=2**d)   # the move table is cached
     tracemalloc.start()
     try:
-        dist = propagate(p, (0,) * d, 1, max_cells=2**d)
+        cells = step(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound, peak
-    assert len(dist) == d and math.isclose(math.fsum(dist.values()), 1.0)
+    assert cells == size
 
 
 def _tilted_log_mgf(p, start, n, **kwargs):
@@ -379,23 +404,32 @@ def test_oracle_matches_propagators():
 
 def test_oracle_budget(monkeypatch):
     # the count weighs each site by its 2d moves of d coordinates and a
-    # rational of up to n steps, counts the last level's sites too, and is
-    # made at the call, before any step.  The ranges pinned by the
-    # long-horizon property fit, and no more
+    # rational of up to n steps, each step's digits by the bit length of
+    # lam's rational (at least 0.3's 55 bits), counts the last level's
+    # sites too, and is made at the call, before any step.  The ranges
+    # pinned by the long-horizon property fit, and no more
     def no_step(*args):
         raise AssertionError("stepped a request over budget")
 
     monkeypatch.setattr(exact, "_rational_moves", no_step)
-    for d, n, sites, work in [(2, 25, 11726, 1266408), (3, 13, 12936, 1241856),
-                              (48, 3, 156996, 768652416), (64, 3, 366340, 3141731840)]:
+    for d, lam, n, sites, work in [
+        (2, 0.5, 25, 11726, 1266408), (3, 0.5, 13, 12936, 1241856),
+        (48, 0.5, 3, 156996, 768652416), (64, 0.5, 3, 366340, 3141731840),
+        # lam = 5e-324 has a 1075-bit rational
+        (1, 5e-324, 30, 961, 1128912), (2, 5e-324, 12, 1469, 1389941),
+        (3, 5e-324, 7, 1408, 1181184), (2, 5e-324, 24, 10425, 19644490),
+        # and 0.1, below 0.3's binade, one of 56 bits
+        (2, 0.1, 24, 10425, 1102396),
+    ]:
         message = rf"do {work} units of work \({sites} sites\), budget is 1100000$"
         with pytest.raises(ResourceBudgetError, match=message):
-            enumerate_oracle(ModelParams(d, 0.5), (0,) * d, n)
+            enumerate_oracle(ModelParams(d, lam), (0,) * d, n)
     with pytest.raises(ResourceBudgetError, match=r"do 1084200 units .* budget is 1084199$"):
-        enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24, max_site_steps=1084199)
+        enumerate_oracle(ModelParams(2, 0.3), (0, 0), 24, max_work=1084199)
     monkeypatch.undo()
     assert sum(enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24).values()) == 1
     assert sum(enumerate_oracle(ModelParams(3, 0.5), (0, 0, 0), 12).values()) == 1
+    assert sum(enumerate_oracle(ModelParams(1, 5e-324), (0,), 29).values()) == 1
 
 
 def brute_oracle(p: ModelParams, start, n: int) -> dict:
@@ -437,6 +471,10 @@ def _assert_matches_oracle(law: dict, oracle: dict) -> None:
         assert abs(law.get(y, 0.0) - float(q)) <= 1e-12, y
 
 
+class _Stepped(Exception):
+    """Raised in place of an oracle step."""
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     d=st.integers(1, 3),
@@ -450,12 +488,24 @@ def _assert_matches_oracle(law: dict, oracle: dict) -> None:
 )
 @example(d=2, lam=1.0 - 2.0**-53, n=24, site=[0, 3, 0], tilt=[0.5, -1.5, 0.0])
 @example(d=3, lam=0.0, n=12, site=[0, 2, 1], tilt=[2.0, 0.25, -1.0])
+@example(d=2, lam=0.1, n=24, site=[1, 0, 0], tilt=[0.5, 0.5, 0.0])
 def test_propagators_match_oracle_at_long_horizons(d, lam, n, site, tilt):
     # horizons where both parity blocks fill and the pad slot is read, on
     # and off the faces.  The rationals of lam = 5e-324 have 2^-1074
     # denominators, which grow fast, so it stays at small n
     p, start, s = ModelParams(d, lam), tuple(site[:d]), tilt[:d]
     n %= ((24, 8, 5) if lam == 5e-324 else (60, 24, 12))[d - 1] + 1
+    with mock.patch.object(exact, "_rational_moves", side_effect=_Stepped):
+        try:
+            enumerate_oracle(p, start, n)
+        except ResourceBudgetError:
+            # a random lam whose rational is longer than 0.3's costs the
+            # oracle more work per step, and a long horizon may exceed its
+            # budget: it is refused at the call, before any step
+            assert Fraction(lam).denominator.bit_length() > 55
+            return
+        except _Stepped:
+            pass
     oracle = enumerate_oracle(p, start, n)
     folded = fold_to_orthant(oracle)
     _assert_matches_oracle(propagate_full(p, start, n), oracle)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biasedwalk import (
@@ -20,7 +20,7 @@ from biasedwalk import (
     reflected_kernel,
 )
 from biasedwalk.exact import enumerate_oracle, fold_to_orthant
-from biasedwalk.kernel import move_row, move_table
+from biasedwalk.kernel import _moves
 
 LAMBDAS = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9]
 
@@ -233,15 +233,17 @@ def test_kernel_mass_property(d, lam, data):
     ),
 )
 @settings(max_examples=60, deadline=None)
+@example(d=3, lam=0.3)
 def test_move_table_matches_rational_oracle(d, lam):
-    # Every row of every walk's table against the one-step law of
-    # enumerate_oracle, whose Fraction kernel is coded apart from the table:
-    # the signed walk at each sign pattern, the reflected chain at each zero
+    # The per-site law of every walk against the one-step law of
+    # enumerate_oracle, whose Fraction kernel is coded apart from it: the
+    # signed walk at each sign pattern, the reflected chain at each zero
     # pattern (the oracle's law folded onto the orthant), and the drifted
     # walk, which moves as the signed walk does off every hyperplane.  The
-    # table's D rounds at most twice and the division once, so each
+    # law's D rounds at most twice and the division once, so each
     # probability is within 3 units of rounding of the exact one, or half
-    # the least subnormal below it.
+    # the least subnormal below it.  The law takes a site as plain ints
+    # and a batch of them as an int64 array per axis, with the same bits
     p = ModelParams(d, lam)
     sites = {
         "signed": [(v, enumerate_oracle(p, v, 1))
@@ -251,14 +253,19 @@ def test_move_table_matches_rational_oracle(d, lam):
         "drifted": [((1,) * d, enumerate_oracle(p, (1,) * d, 1))],
     }
     for walk, cases in sites.items():
-        widths, big_d = move_table(p, walk)
-        assert len(widths) == len(cases)
-        for v, law in cases:
-            row = move_row(walk, v)
-            for j in range(2 * d):
-                i = j >> 1
-                target = v[:i] + (v[i] + (j & 1) * 2 - 1,) + v[i + 1:]
-                want = law.get(target, Fraction(0))
-                got = Fraction(float(widths[row, j] / big_d[row]))
-                assert abs(got - want) <= 3 * want / 2**53 + Fraction(1, 2**1075), (
-                    walk, v, j, float(got), float(want))
+        batch = tuple(np.array(c, dtype=np.int64) for c in zip(*(v for v, _ in cases)))
+        widths_all, big_d_all = _moves(p, walk, batch)
+        if walk == "drifted":
+            # rounded as written, d + lam d differs at d = 3, lam = 0.3
+            assert big_d_all == d * (1.0 + lam)
+        for k, (v, law) in enumerate(cases):
+            widths, big_d = _moves(p, walk, v)
+            assert np.array_equal(big_d, np.broadcast_to(big_d_all, len(cases))[k])
+            for i, pair in enumerate(widths):
+                for step, w, w_all in zip((-1, 1), pair, widths_all[i]):
+                    assert w == w_all[k]
+                    target = v[:i] + (v[i] + step,) + v[i + 1:]
+                    want = law.get(target, Fraction(0))
+                    got = Fraction(float(w) / float(big_d))
+                    assert abs(got - want) <= 3 * want / 2**53 + Fraction(1, 2**1075), (
+                        walk, v, i, step, float(got), float(want))

@@ -631,6 +631,23 @@ def test_path_json_round_trip():
         ldp.path_from_json('[{"t": 0}, {"t": 1}]')
 
 
+@pytest.mark.parametrize("text, key", [
+    ('[{"t": 0, "phi": [0, 0]}, {"t": 1, "phi": "11"}]', "'phi' must be a list"),
+    ('[{"t": 0, "phi": [0]}, {"t": 1, "phi": 0.5}]', "'phi' must be a list"),
+    ('[{"t": 0, "phi": [0]}, {"t": 1, "phi": null}]', "'phi' must be a list"),
+    ('[{"t": 0, "phi": [0, 0]}, {"t": true, "phi": [0.2, 0.1]}]', "'t' entries"),
+    ('[{"t": 0, "phi": [0, 0]}, {"t": "1", "phi": [0.2, 0.1]}]', "'t' entries"),
+    ('[{"t": 0, "phi": [0, 0]}, {"t": 1, "phi": ["0.2", "0.1"]}]', "'phi' entries"),
+    ('[{"t": 0, "phi": [false, 0]}, {"t": 1, "phi": [0.2, 0.1]}]', "'phi' entries"),
+    ('[{"t": 0, "phi": [0, 0]}, {"t": 1, "phi": [0.2, [0.1]]}]', "'phi' entries"),
+])
+def test_path_json_takes_only_numbers(text, key):
+    # a string or a boolean is not read as a number, nor a string as a
+    # list of digits
+    with pytest.raises(ValueError, match=key):
+        ldp.path_from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # tail-rate consistency tables
 # ---------------------------------------------------------------------------

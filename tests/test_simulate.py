@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from biasedwalk import ModelParams, ResourceBudgetError, reflected_kernel
 from biasedwalk.exact import propagate
+from biasedwalk.kernel import _moves
 from biasedwalk.simulate import (
     SimPlan,
     boundary_visits,
@@ -22,8 +23,10 @@ from biasedwalk.simulate import (
     _BLOCK,
     _RawBatch,
     _path_states,
+    _row,
     _run,
     _step_uniforms,
+    _table,
 )
 
 
@@ -118,6 +121,24 @@ def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
     count = n * m
     assert np.all(np.abs(fast.xi_sum - ref.xi_sum) <= 1e-13 * count)
     assert np.all(np.abs(fast.xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 0.3, 1.0 - 2.0**-53])
+def test_move_table_rows_are_the_law_at_their_sites(d, lam):
+    # row r of the simulator's table holds the reflected law, bit for bit,
+    # at a site whose zero pattern is r: each coordinate 0 where bit i of r
+    # is set and 1 or 7 elsewhere, the row its site is read at
+    p = ModelParams(d, lam)
+    widths, big_d = _table(p)
+    assert widths.shape == (2**d, 2 * d) and big_d.shape == (2**d,)
+    for r in range(2**d):
+        for far in (1, 7):
+            site = tuple(0 if r >> i & 1 else far for i in range(d))
+            assert _row(np.array(site)[:, None]).tolist() == [r]
+            law, law_d = _moves(p, "reflected", site)
+            assert big_d[r] == law_d
+            assert widths[r].tolist() == [float(w) for pair in law for w in pair]
 
 
 def test_deterministic_outward_walk_is_exact():
