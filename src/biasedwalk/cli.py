@@ -4,7 +4,9 @@ Every subcommand runs one reproducible experiment against the library and
 emits a single machine-readable artifact (JSON or CSV) plus a one line
 human summary.  The artifact embeds the effective configuration, so a
 result file is self-describing; identical configurations produce byte
-identical artifacts.
+identical artifacts.  A subcommand is declared once, by the
+`@_command(name, help, *opts)` line above its runner; the argument parser
+is built from those declarations once per process.
 
 Settings resolve in three layers: built-in defaults, then a `--config`
 file of flat `key=value` lines (keys spelled like the long flags without
@@ -20,6 +22,7 @@ would be exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import exact, ldp, simulate
 from .errors import ConvergenceError, ResourceBudgetError
-from .kernel import ModelParams
+from .kernel import ModelParams, _check_site
 
 
 class CliError(Exception):
@@ -152,10 +155,23 @@ class _Command:
     help: str
 
 
+# name -> command, in the order --help lists them; filled by @_command
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, *opts: _Opt):
+    """Register the decorated runner as subcommand `name`, which takes the
+    shared options and then `opts`."""
+    def register(run):
+        _COMMANDS[name] = _Command(name, opts, run, help)
+        return run
+    return register
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"--config: cannot read {path!r}: {err}") from None
     out: dict[str, str] = {}
     for raw in text.splitlines():
@@ -191,13 +207,15 @@ def _params(cfg: dict) -> ModelParams:
     return ModelParams(cfg["dim"], cfg["lambda"])
 
 
-def _start(cfg: dict, default: tuple[int, ...]) -> tuple[int, ...]:
+def _start(p: ModelParams, cfg: dict, default, reach: int):
+    """The --start site, checked to stay in the int64 range for reach
+    steps, or default when it is not given."""
     start = cfg.get("start")
     if start is None:
         return default
-    if len(start) != cfg["dim"]:
-        raise CliError(f"--start needs {cfg['dim']} comma-separated coordinates")
-    return start
+    if len(start) != p.dim:
+        raise CliError(f"--start needs {p.dim} comma-separated coordinates")
+    return _check_site(p, start, orthant=True, name="--start", reach=reach)
 
 
 def _jsonable(value):
@@ -268,11 +286,19 @@ def _records(header: list[str], records: list[dict]) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
+_N_LIST = _Opt("n-list", "ints", help="horizons n1,n2,... to evaluate", lo=1)
+
+
+@_command("simulate", "run a batch of walks and report batch statistics",
+          *_steps_paths(1000, 100, min_steps=0),
+          _Opt("start", "ints", default=None, lo=0, hi=2**63 - 1,
+               help="start site a,b,... (default origin)"),
+          _Opt("dump-trajectories", "bool", default=False,
+               help="emit every path instead of batch statistics"))
 def _run_simulate(cfg: dict):
     p = _params(cfg)
-    plan = simulate.SimPlan(
-        p, _start(cfg, (0,) * p.dim), cfg["steps"], cfg["paths"], seed=cfg["seed"]
-    )
+    plan = simulate.SimPlan(p, _start(p, cfg, (0,) * p.dim, cfg["steps"]), cfg["steps"],
+                            cfg["paths"], seed=cfg["seed"])
     if cfg["dump_trajectories"]:
         states = simulate.trajectories(plan).tolist()
         header = ["path", "step"] + [f"x{i + 1}" for i in range(p.dim)]
@@ -306,6 +332,8 @@ def _origin_batch(cfg: dict) -> tuple[ModelParams, simulate.SimPlan]:
                                seed=cfg["seed"])
 
 
+@_command("speed", "compare mean endpoint against the escape speed",
+          *_steps_paths(10000, 1000))
 def _run_speed(cfg: dict):
     p, plan = _origin_batch(cfg)
     batch = simulate.simulate_batch(plan)
@@ -321,6 +349,8 @@ def _run_speed(cfg: dict):
     return payload, ["coord", "observed", "limit", "abs_error"], rows, summary
 
 
+@_command("clt", "compare scaled endpoint covariance against its limit",
+          *_steps_paths(10000, 10000))
 def _run_clt(cfg: dict):
     p, plan = _origin_batch(cfg)
     batch = simulate.simulate_batch(plan)
@@ -333,6 +363,8 @@ def _run_clt(cfg: dict):
     return payload, ["i", "j", "observed", "limit"], rows, summary
 
 
+@_command("martingale", "sample moments of the compensated increments",
+          *_steps_paths(1000, 1000))
 def _run_martingale(cfg: dict):
     p, plan = _origin_batch(cfg)
     diag = simulate.martingale_diagnostic(plan)
@@ -342,6 +374,8 @@ def _run_martingale(cfg: dict):
             ["coord", "mean", "variance"], rows, summary)
 
 
+@_command("boundary", "histogram of per-path boundary visit counts",
+          *_steps_paths(1000, 1000))
 def _run_boundary(cfg: dict):
     _, plan = _origin_batch(cfg)
     histogram = simulate.boundary_visits(plan)
@@ -350,6 +384,8 @@ def _run_boundary(cfg: dict):
             ["visits", "paths"], [[k, v] for k, v in histogram.items()], summary)
 
 
+@_command("mgf", "exact log-mgf per horizon against the limit",
+          _Opt("s", "floats", help="tilt vector v1,...,vd"), _N_LIST)
 def _run_mgf(cfg: dict):
     p = _params(cfg)
     s = cfg["s"]
@@ -367,6 +403,8 @@ def _run_mgf(cfg: dict):
     return {"s": list(s), "rows": records}, header, _records(header, records), summary
 
 
+@_command("return-prob", "exact return probabilities up to a horizon",
+          _Opt("n-max", "int", lo=0, help="largest horizon (even horizons reported)"))
 def _run_return_prob(cfg: dict):
     p = _params(cfg)
     records = [
@@ -379,6 +417,12 @@ def _run_return_prob(cfg: dict):
     return {"rows": records}, header, _records(header, records), summary
 
 
+@_command("ballot", "path counts with and without a floor, and their inequality",
+          # the largest n whose counts render within Python's default 4300
+          # digits: n * floored has 4301 at n 14285, beta 119
+          _Opt("n", "int", lo=1, hi=14_284, help="number of steps"),
+          _Opt("alpha", "int", help="start level"),
+          _Opt("beta", "int", help="end level"))
 def _run_ballot(cfg: dict):
     count = exact.ballot_counts(cfg["n"], cfg["alpha"], cfg["beta"])
     lhs = count.n * count.floored
@@ -400,13 +444,18 @@ def _run_ballot(cfg: dict):
     return payload, list(payload), [list(payload.values())], summary
 
 
+@_command("dominate", "two-sided comparison against the drifted walk",
+          _Opt("mode", ("upper", "lower"), help="which comparison bound to check"),
+          _Opt("n-max", "int", lo=1, help="check n = 1..n-max"),
+          _Opt("start", "ints", default=None, lo=1, hi=2**63 - 1,
+               help="start site for the lower bound (default all ones)"))
 def _run_dominate(cfg: dict):
     p = _params(cfg)
     upper = cfg["mode"] == "upper"
     if upper and cfg.get("start") is not None:
         raise CliError("dominate: --start applies only to --mode lower")
     reports = exact.domination_profile(p, cfg["mode"], cfg["n_max"],
-                                       start=_start(cfg, None))
+                                       start=_start(p, cfg, None, cfg["n_max"]))
     records = [{k: v for k, v in asdict(r).items() if v is not None} for r in reports]
     if upper:
         header = ["n", "cells_checked", "max_violation"]
@@ -433,6 +482,10 @@ def _require_transform_params(cfg: dict, command: str) -> ModelParams:
 _MAX_GRID_POINTS = 100_000
 
 
+@_command("rate-fn", "rate function at a point or on a grid",
+          _Opt("x", "floats", default=None, help="single query point v1,...,vd"),
+          _Opt("grid", "int", default=None, lo=2,
+               help="steps per axis for a grid over [0,1]^d"))
 def _run_rate_fn(cfg: dict):
     p = _require_transform_params(cfg, "rate-fn")
     x, grid = cfg.get("x"), cfg.get("grid")
@@ -478,6 +531,7 @@ def _run_rate_fn(cfg: dict):
     return {"rows": records}, header, rows, summary
 
 
+@_command("matrix-check", "deviation of the scaling-matrix factorization")
 def _run_matrix_check(cfg: dict):
     p = _params(cfg)
     deviation = ldp.clt_matrix_check(p)
@@ -486,13 +540,16 @@ def _run_matrix_check(cfg: dict):
             [[p.dim, p.lam, deviation]], summary)
 
 
+@_command("path-rate", "action of a piecewise linear scaled path",
+          _Opt("path", "str", help="JSON file of {t, phi} breakpoints"))
 def _run_path_rate(cfg: dict):
     p = _require_transform_params(cfg, "path-rate")
     try:
-        text = Path(cfg["path"]).read_text()
-    except OSError as err:
+        rows = json.loads(Path(cfg["path"]).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
         raise CliError(f"--path: cannot read {cfg['path']!r}: {err}") from None
-    path = ldp.path_from_json(text)
+    path = ldp.path_from_json(rows)
     if path.dim != p.dim:
         raise CliError(
             f"--path breakpoints have dimension {path.dim}, --dim is {p.dim}"
@@ -512,6 +569,8 @@ def _run_path_rate(cfg: dict):
     return {"action": action, "segments": segments}, header, rows, summary
 
 
+@_command("ldp-consistency", "exact tail rates against the limiting rate",
+          _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"), _N_LIST)
 def _run_ldp_consistency(cfg: dict):
     p = _require_transform_params(cfg, "ldp-consistency")
     rows = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
@@ -525,97 +584,7 @@ def _run_ldp_consistency(cfg: dict):
     return {"rows": records}, header, _records(header, records), summary
 
 
-_N_LIST = _Opt("n-list", "ints", help="horizons n1,n2,... to evaluate", lo=1)
-
-_COMMANDS = {
-    c.name: c
-    for c in (
-        _Command(
-            "simulate",
-            _steps_paths(1000, 100, min_steps=0)
-            + (
-                _Opt("start", "ints", default=None, lo=0, hi=2**63 - 1,
-                     help="start site a,b,... (default origin)"),
-                _Opt("dump-trajectories", "bool", default=False,
-                     help="emit every path instead of batch statistics"),
-            ),
-            _run_simulate,
-            "run a batch of walks and report batch statistics",
-        ),
-        _Command("speed", _steps_paths(10000, 1000), _run_speed,
-                 "compare mean endpoint against the escape speed"),
-        _Command("clt", _steps_paths(10000, 10000), _run_clt,
-                 "compare scaled endpoint covariance against its limit"),
-        _Command("martingale", _steps_paths(1000, 1000), _run_martingale,
-                 "sample moments of the compensated increments"),
-        _Command("boundary", _steps_paths(1000, 1000), _run_boundary,
-                 "histogram of per-path boundary visit counts"),
-        _Command(
-            "mgf",
-            (_Opt("s", "floats", help="tilt vector v1,...,vd"), _N_LIST),
-            _run_mgf,
-            "exact log-mgf per horizon against the limit",
-        ),
-        _Command(
-            "return-prob",
-            (_Opt("n-max", "int", lo=0, help="largest horizon (even horizons reported)"),),
-            _run_return_prob,
-            "exact return probabilities up to a horizon",
-        ),
-        _Command(
-            "ballot",
-            (
-                # the largest n whose counts render within Python's default
-                # 4300 digits: n * floored has 4301 at n 14285, beta 119
-                _Opt("n", "int", lo=1, hi=14_284, help="number of steps"),
-                _Opt("alpha", "int", help="start level"),
-                _Opt("beta", "int", help="end level"),
-            ),
-            _run_ballot,
-            "path counts with and without a floor, and their inequality",
-        ),
-        _Command(
-            "dominate",
-            (
-                _Opt("mode", ("upper", "lower"), help="which comparison bound to check"),
-                _Opt("n-max", "int", lo=1, help="check n = 1..n-max"),
-                _Opt("start", "ints", default=None, lo=1, hi=2**63 - 1,
-                     help="start site for the lower bound (default all ones)"),
-            ),
-            _run_dominate,
-            "two-sided comparison against the drifted walk",
-        ),
-        _Command(
-            "rate-fn",
-            (
-                _Opt("x", "floats", default=None, help="single query point v1,...,vd"),
-                _Opt("grid", "int", default=None, lo=2,
-                     help="steps per axis for a grid over [0,1]^d"),
-            ),
-            _run_rate_fn,
-            "rate function at a point or on a grid",
-        ),
-        _Command("matrix-check", (), _run_matrix_check,
-                 "deviation of the scaling-matrix factorization"),
-        _Command(
-            "path-rate",
-            (_Opt("path", "str", help="JSON file of {t, phi} breakpoints"),),
-            _run_path_rate,
-            "action of a piecewise linear scaled path",
-        ),
-        _Command(
-            "ldp-consistency",
-            (
-                _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"),
-                _N_LIST,
-            ),
-            _run_ldp_consistency,
-            "exact tail rates against the limiting rate",
-        ),
-    )
-}
-
-
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="biasedwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,8 +358,8 @@ class PiecewiseLinearPath:
 def path_from_json(source) -> PiecewiseLinearPath:
     """Build a path from a JSON array of {"t": ..., "phi": [...]} rows (or
     from the already-parsed list of dicts).  Each t, and each entry of
-    each phi list, must be a JSON number: a string or a boolean raises
-    ValueError naming its key."""
+    each phi list, must be a JSON number within double range: a string, a
+    boolean or a larger integer raises ValueError naming its key."""
     rows = json.loads(source) if isinstance(source, (str, bytes)) else source
     try:
         times = tuple(row["t"] for row in rows)
@@ -372,6 +373,9 @@ def path_from_json(source) -> PiecewiseLinearPath:
         for x in entries:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ValueError(f"'{key}' entries must be JSON numbers, got {x!r}")
+            if isinstance(x, int) and abs(x) > sys.float_info.max:
+                raise ValueError(f"'{key}' entries must lie within double range, "
+                                 f"got an integer of {len(str(abs(x)))} digits")
     return PiecewiseLinearPath(times=times, values=tuple(map(tuple, values)))
 
 

@@ -4,11 +4,13 @@ Each test drives ``cli.main`` in process with an argv list and inspects
 exit status, the artifact (stdout or --out file), and the summary line.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -88,6 +90,41 @@ def test_no_subcommand_exits_one(capsys):
     assert "subcommand" in err
 
 
+def _help(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def _lists(text: str, word: str) -> bool:
+    """Whether some line of a help text starts with word."""
+    return re.search(rf"^\s+{re.escape(word)}(\s|$)", text, re.M) is not None
+
+
+def test_help_lists_every_command(capsys):
+    text = _help(["--help"], capsys)
+    assert all(_lists(text, name) for name in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_help_lists_every_flag(name, capsys):
+    text = _help([name, "--help"], capsys)
+    opts = cli.SHARED_OPTS + cli._COMMANDS[name].opts + cli.PLUMBING_OPTS
+    assert all(_lists(text, opt.flag) for opt in opts)
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    argv = ["matrix-check", "--dim", "2", "--lambda", "0.5"]
+    assert run_cli(argv, capsys)[0] == 0
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda *a, **k: added.append(a) or add_argument(*a, **k))
+    assert run_cli(argv, capsys)[0] == 0
+    assert added == []
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -117,6 +154,11 @@ def test_no_subcommand_exits_one(capsys):
           "--n-list", "10"], "--a"),
         (["dominate", "--dim", "2", "--lambda", "0.5", "--mode", "lower",
           "--n-max", "2", "--start", "0,1"], "--start"),
+        # starts whose walk would leave the int64 range
+        (["simulate", "--dim", "1", "--lambda", "0.5", "--start", "9223372036854775807",
+          "--steps", "5", "--paths", "1"], "--start"),
+        (["dominate", "--dim", "1", "--lambda", "0.5", "--mode", "lower", "--n-max", "3",
+          "--start", "9223372036854775806"], "--start"),
     ],
 )
 def test_domain_errors_name_the_flag(argv, flag, capsys):
@@ -516,7 +558,9 @@ def test_path_rate_dim_mismatch_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("row", ['{"t": true, "phi": [0.2, 0.1]}',
                                  '{"t": 1, "phi": ["0.2", "0.1"]}',
-                                 '{"t": 1, "phi": "11"}'])
+                                 '{"t": 1, "phi": "11"}',
+                                 pytest.param('{"t": 1, "phi": [' + "9" * 401 + ', 0.1]}',
+                                              id="phi-401-digits")])
 def test_path_rate_non_numbers_exit_one(tmp_path, capsys, row):
     src = tmp_path / "path.json"
     src.write_text('[{"t": 0, "phi": [0, 0]}, ' + row + ']')
@@ -525,6 +569,19 @@ def test_path_rate_non_numbers_exit_one(tmp_path, capsys, row):
     )
     assert code == 1 and out == ""
     assert "'t'" in err or "'phi'" in err
+
+
+@pytest.mark.parametrize("text", ['[{"t": 0, "phi": [' + "9" * 5000 + ']}]',
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["past-the-digit-limit", "nested-too-deep"])
+def test_path_file_that_does_not_decode_names_the_flag(tmp_path, capsys, text):
+    src = tmp_path / "path.json"
+    src.write_text(text)
+    code, out, err = run_cli(
+        ["path-rate", "--dim", "1", "--lambda", "0.5", "--path", str(src)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --path: cannot read ") and err.count("\n") == 1
 
 
 def test_ldp_consistency_rows_match_library(capsys):

@@ -131,6 +131,9 @@ CASES: dict[str, list[str]] = {
     "err-config-missing": ["matrix-check", "--config", "absent.cfg"],
     "err-path-missing": _model("path-rate", 1, "0.25") + ["--path", "absent.json"],
     "err-path-dim": _model("path-rate", 2, "0.5") + ["--path", "path1.json"],
+    "err-path-not-json": _model("path-rate", 1, "0.25") + ["--path", "not_json.json"],
+    "err-path-not-utf8": _model("path-rate", 1, "0.25") + ["--path", "not_utf8.json"],
+    "err-config-not-utf8": ["matrix-check", "--config", "not_utf8.cfg"],
     "err-out-unwritable": _model("matrix-check", 2, "0.5") + ["--out", "absent/x.json"],
     # exit 1: range errors, whose wording is not pinned (UNPINNED_MESSAGES)
     "err-seed-negative": _model("speed", 2, "0.5") + ["--seed", "-1"],

@@ -640,6 +640,11 @@ def test_path_json_round_trip():
     ('[{"t": 0, "phi": [0, 0]}, {"t": 1, "phi": ["0.2", "0.1"]}]', "'phi' entries"),
     ('[{"t": 0, "phi": [false, 0]}, {"t": 1, "phi": [0.2, 0.1]}]', "'phi' entries"),
     ('[{"t": 0, "phi": [0, 0]}, {"t": 1, "phi": [0.2, [0.1]]}]', "'phi' entries"),
+    # integers beyond double range
+    pytest.param('[{"t": 0, "phi": [0]}, {"t": 1, "phi": [-' + "9" * 401 + ']}]',
+                 "'phi' entries", id="phi-401-digits"),
+    pytest.param('[{"t": 0, "phi": [0]}, {"t": ' + "9" * 401 + ', "phi": [1]}]',
+                 "'t' entries", id="t-401-digits"),
 ])
 def test_path_json_takes_only_numbers(text, key):
     # a string or a boolean is not read as a number, nor a string as a
