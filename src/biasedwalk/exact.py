@@ -191,11 +191,21 @@ def _site_order(values, sites) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 def _finite_vector(name: str, v, dim: int) -> np.ndarray:
     """v as a float array of shape (dim,), a scalar taken as one coordinate;
     ValueError naming it unless it has dim coordinates, all finite."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    return _finite_rows(name, [v], dim)[0]
+
+
+def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
+    """rows as a new float array of shape (k, dim), each scalar row taken
+    as one coordinate; ValueError naming it unless every row has dim
+    coordinates, all finite."""
+    v = np.array(rows, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.shape[1:] != (dim,):
+        raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape[1:]}")
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {v[~finite][0].tolist()}")
     return v
 
 
@@ -362,25 +372,24 @@ def enumerate_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """ln sum(exp(a)) of a 1-d float array.  The m maximal terms are
-    pulled out of the shifted sum s, which is divided by m unless it is 0,
-    and the value is log1p(s) + log(m) + a_max; where that is not finite
-    (an infinite or NaN term, or every term -inf) it is log(sum(exp(a))).
-    The steps are written out here, not taken from a library whose
-    log-sum-exp has changed between versions, so that the mgf artifacts
-    do not depend on what is installed.  Never warns."""
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum(exp(a)) over the last axis of a float array, one value per
+    row.  The m maximal terms of a row are pulled out of its shifted sum
+    s, and the value is log1p(s / m) + log(m) + a_max; where that is not
+    finite (an infinite or NaN term, or every term -inf) it is
+    log(sum(exp(a))).  The steps are written out here, not taken from a
+    library whose log-sum-exp has changed between versions, so that the
+    mgf artifacts do not depend on what is installed.  Never warns."""
     with np.errstate(all="ignore"):
-        a_max = np.max(a)
-        top = a == a_max
-        m = np.float64(np.count_nonzero(top))
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
-        if s != 0:
-            s = s / m
+        a_max = a.max(-1)
+        top = a == a_max[..., None]
+        m = top.sum(-1)
+        s = np.exp(np.where(top, -np.inf, a) - a_max[..., None]).sum(-1) / m
         value = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(value):
-            value = np.log(np.sum(np.exp(a)))
-    return float(value)
+        finite = np.isfinite(value)
+        if not finite.all():
+            value = np.where(finite, value, np.log(np.exp(a).sum(-1)))
+    return value
 
 
 @lru_cache(maxsize=4)
@@ -429,7 +438,7 @@ def log_mgf(
             top = float(np.max(np.abs(s)))
             dot = sum((s[i] / top) * sites[i] for i in range(p.dim))
             terms = logs + top * dot
-    value = _logsumexp(terms)
+    value = float(_logsumexp(terms))
     if not math.isfinite(value):
         raise OverflowError(f"Lambda_{n}(s) for s={s.tolist()} is beyond double range")
     return value

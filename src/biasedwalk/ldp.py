@@ -22,7 +22,9 @@ u = 1 / sum_j cosh(t_j), to one lam-free scalar equation
     sum_i r_i = 1,    r_i = sqrt(x_i^2 + u^2),
 
 whose left side is convex and increasing in u; Newton's method from u = 1
-falls monotonically onto its root.  The maximizer is then
+falls monotonically onto its root.  rate_functions solves that root for
+a whole array of points at once, each row under its own stop rule, and
+rate_function is its one-row case.  The maximizer is then
 s_i = s0 + ln((x_i + r_i)/u), so a coordinate with x_i = 0 sits at the
 kink s0, and
 
@@ -68,7 +70,12 @@ SIMPLEX_TOL = 1e-12
 
 def log_psi(p: ModelParams, s) -> float:
     """ln psi(s), evaluated in log space so large tilts cannot overflow."""
-    s = exact._finite_vector("s", s, p.dim)
+    return float(_log_psi_rows(p, exact._finite_vector("s", s, p.dim)))
+
+
+def _log_psi_rows(p: ModelParams, s: np.ndarray) -> np.ndarray:
+    """ln psi of each row of finite tilts s (an array whose last axis has
+    dim entries)."""
     d = p.dim
     log_lam = math.log(p.lam) if p.lam > 0 else -math.inf
     norm = math.log(d * (1.0 + p.lam))
@@ -157,60 +164,35 @@ class RateResult:
     kkt_residual: float
 
 
-def _no_maximizer(value: float, domain_class: str, at_infinity: bool) -> RateResult:
-    """A rate with no finite maximizing tilt."""
-    return RateResult(value=value, argmax_s=None, at_infinity=at_infinity,
-                      domain_class=domain_class, iterations=0, kkt_residual=math.nan)
+def _classify(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Domain class of each row of snapped points x (an array whose last
+    axis has dim entries)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum(axis=-1)      # +inf beyond double range: outside
+    face = np.abs(total - 1.0) <= SIMPLEX_TOL
+    beyond = ~face if p.lam == 0.0 else total > 1.0 + SIMPLEX_TOL
+    below = np.where((x == 0.0).any(-1), "coordinate_boundary", "interior")
+    return np.where((x < 0.0).any(-1) | beyond, "outside",
+                    np.where(face, "simplex_boundary", below))
 
 
-def _classify(p: ModelParams, x: np.ndarray) -> str:
-    if np.any(x < 0.0):
-        return "outside"
-    with np.errstate(over="ignore"):
-        total = float(x.sum())      # +inf beyond double range: outside
-    if p.lam == 0.0:
-        return "simplex_boundary" if abs(total - 1.0) <= SIMPLEX_TOL else "outside"
-    if total > 1.0 + SIMPLEX_TOL:
-        return "outside"
-    if abs(total - 1.0) <= SIMPLEX_TOL:
-        return "simplex_boundary"
-    if np.any(x == 0.0):
-        return "coordinate_boundary"
-    return "interior"
-
-
-def _rate_lam0(p: ModelParams, x: np.ndarray) -> RateResult:
-    # psi(s) = (1/d) sum exp(s_i): the conjugate is ln d + sum x_i ln x_i
-    # on the simplex.  With every x_i > 0 the tilt s_i = ln(d * x_i) is a
-    # finite maximizer; a zero coordinate pushes its tilt to -infinity.
-    d = p.dim
-    value = max(0.0, math.log(d) + float(np.sum(_xlogy(x, np.where(x > 0.0, x, 1.0)))))
-    if np.all(x > 0.0):
-        s_star = np.log(d * x)
-        grad = x - np.exp(s_star - log_psi(p, s_star)) / d
-        return RateResult(
-            value=value,
-            argmax_s=tuple(float(c) for c in s_star),
-            at_infinity=False,
-            domain_class="simplex_boundary",
-            iterations=0,
-            kkt_residual=float(np.max(np.abs(grad))),
-        )
-    return _no_maximizer(value, "simplex_boundary", at_infinity=True)
-
-
-def _dual_root(x: np.ndarray) -> tuple[float, int]:
-    # Root u of f(u) = sum_i sqrt(x_i^2 + u^2) - 1 for 0 <= x, sum(x) < 1.
-    # f is convex and increasing with f(1) >= 0, so Newton steps from u = 1
-    # decrease monotonically onto the root; the first step that no longer
-    # decreases u marks the rounding floor.
-    u = 1.0
+def _dual_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Root u of f(u) = sum_i sqrt(x_i^2 + u^2) - 1 for each row of x, where
+    # 0 <= x and sum(x) < 1.  f is convex and increasing with f(1) >= 0, so
+    # Newton steps from u = 1 decrease monotonically onto the root; a row
+    # stops at its first step that no longer decreases u, the rounding floor.
+    u, steps = np.empty(len(x)), np.empty(len(x), dtype=int)
+    live, cur = np.arange(len(x)), np.ones(len(x))
     for used in range(MAX_ITERATIONS + 1):
-        r = np.hypot(x, u)
-        nxt = u - (float(r.sum()) - 1.0) / (u * float(np.sum(1.0 / r)))
-        if not nxt < u:
-            return u, used
-        u = nxt
+        r = np.hypot(x, cur[:, None])
+        nxt = cur - (r.sum(1) - 1.0) / (cur * (1.0 / r).sum(1))
+        going = nxt < cur
+        if not going.all():
+            u[live[~going]], steps[live[~going]] = cur[~going], used
+            if not going.any():
+                return u, steps
+            live, x, nxt = live[going], x[going], nxt[going]
+        cur = nxt
     raise ConvergenceError(
         f"Newton on the dual root did not settle within {MAX_ITERATIONS} steps"
     )
@@ -223,45 +205,73 @@ def rate_function(p: ModelParams, x) -> RateResult:
     simplex (lam = 0).  The pair d = 1, lam = 0 is rejected: that walk is
     deterministic and has no rate function.
     """
+    return rate_functions(p, [x])[0]
+
+
+def rate_functions(p: ModelParams, points) -> list[RateResult]:
+    """rate_function at each row of a (k, d) array of points, with the
+    scalar roots of all rows solved at once; for d = 1 a flat list of k
+    numbers is k points.  Each result is the one rate_function gives for
+    its row alone, bit for bit.
+    """
     if p.dim == 1 and p.lam == 0.0:
         raise ValueError("rate function undefined for dim=1, lam=0")
-    x = exact._finite_vector("x", x, p.dim).copy()
+    x = exact._finite_rows("x", points, p.dim)
     x[np.abs(x) <= SIMPLEX_TOL] = 0.0
-    domain_class = _classify(p, x)
-    if domain_class == "outside":
-        return _no_maximizer(math.inf, "outside", at_infinity=False)
-    face = domain_class == "simplex_boundary"
-    if face:
-        x /= x.sum()
+    classes = _classify(p, x)
+    k, d = x.shape
+    face, inside = classes == "simplex_boundary", classes != "outside"
+    if face.any():
+        x[face] /= x[face].sum(axis=1, keepdims=True)
+    value, kkt = np.full(k, math.inf), np.full(k, math.nan)
+    s_star, iterations = np.zeros((k, d)), np.zeros(k, dtype=int)
     if p.lam == 0.0:
-        return _rate_lam0(p, x)
-
-    # The face is the same expression at u = 0 and |x| = 1, where the term
-    # (1 - |x|) ln u vanishes and the maximizer diverges.
-    u, iterations = (0.0, 0) if face else _dual_root(x)
-    total = 1.0 if face else float(x.sum())
-    r = np.hypot(x, u)
-    value = max(0.0, (
-        0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(p.dim)
-        + float(_xlogy(1.0 - total, u)) + float(np.sum(_xlogy(x, x + r)))
-    ))
-    if face:
-        return _no_maximizer(value, domain_class, at_infinity=True)
-    s_star = p.s0 + np.log((x + r) / u)
-    # Stationarity residual at the maximizer; a coordinate at the kink
-    # contributes exactly x_i = 0 because h'(s0) = 0.
-    norm = p.dim * (1.0 + p.lam)
-    up = np.exp(s_star) / norm
-    down = p.lam * np.exp(-s_star) / norm
-    grad = x - (up - down) / math.exp(log_psi(p, s_star))
-    return RateResult(
-        value=value,
-        argmax_s=tuple(float(c) for c in s_star),
-        at_infinity=False,
-        domain_class=domain_class,
-        iterations=iterations,
-        kkt_residual=float(np.max(np.abs(grad))),
-    )
+        # psi(s) = (1/d) sum exp(s_i): the conjugate is ln d + sum x_i ln x_i
+        # on the simplex.  With every x_i > 0 the tilt s_i = ln(d * x_i) is
+        # a finite maximizer; a zero coordinate pushes its tilt to -infinity.
+        found = face & (x > 0.0).all(axis=1)
+        if face.any():
+            xf = x[face]
+            value[face] = math.log(d) + _xlogy(xf, np.where(xf > 0.0, xf, 1.0)).sum(axis=1)
+        if found.any():
+            xf = x[found]
+            s = s_star[found] = np.log(d * xf)
+            grad = xf - np.exp(s - _log_psi_rows(p, s)[:, None]) / d
+            kkt[found] = np.abs(grad).max(axis=1)
+    else:
+        # The face is the same expression at u = 0 and |x| = 1, where the
+        # term (1 - |x|) ln u vanishes and the maximizer diverges.
+        found = inside & ~face
+        u = np.zeros(k)
+        if found.any():
+            xf = x[found]
+            uf, iterations[found] = _dual_roots(xf)
+            u[found] = uf
+            s = s_star[found] = p.s0 + np.log((xf + np.hypot(xf, uf[:, None])) / uf[:, None])
+            # Stationarity residual at the maximizer; a coordinate at the
+            # kink contributes exactly x_i = 0 because h'(s0) = 0.  The
+            # divisor is libm's exp of each row's ln psi.
+            norm = d * (1.0 + p.lam)
+            up = np.exp(s) / norm
+            down = p.lam * np.exp(-s) / norm
+            psi_s = np.array([math.exp(v) for v in _log_psi_rows(p, s).tolist()])
+            kkt[found] = np.abs(xf - (up - down) / psi_s[:, None]).max(axis=1)
+        if inside.any():
+            xi, ui = x[inside], u[inside]
+            total = np.where(face[inside], 1.0, xi.sum(axis=1))
+            r = np.hypot(xi, ui[:, None])
+            value[inside] = (
+                0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(d)
+                + _xlogy(1.0 - total, ui) + _xlogy(xi, xi + r).sum(axis=1)
+            )
+    value = np.where(value > 0.0, value, 0.0)
+    return [
+        RateResult(value=v, argmax_s=tuple(s) if f else None,
+                   at_infinity=c == "simplex_boundary" and not f, domain_class=c,
+                   iterations=n, kkt_residual=res)
+        for v, s, f, c, n, res in zip(value.tolist(), s_star.tolist(), found.tolist(),
+                                      classes.tolist(), iterations.tolist(), kkt.tolist())
+    ]
 
 
 def rate_closed_form(p: ModelParams, x) -> float:
@@ -384,18 +394,20 @@ def path_rate_functional(p: ModelParams, path: PiecewiseLinearPath) -> float:
     +inf as soon as one slope leaves the effective domain."""
     if path.dim != p.dim:
         raise ValueError(f"path has dimension {path.dim}, model has {p.dim}")
-    return _action(path, (_slope_rate(p, slope) for slope in path.slopes()))
+    return _action(path, _slope_rates(p, path.slopes()))
 
 
-def _slope_rate(p: ModelParams, slope: np.ndarray) -> float:
-    """Rate of one segment's slope; a slope beyond double range is outside
-    the domain."""
-    return math.inf if np.isinf(slope).any() else rate_function(p, slope).value
+def _slope_rates(p: ModelParams, slopes: np.ndarray) -> list[float]:
+    """Rate of each segment's slope, the finite ones from one batched
+    query; a slope beyond double range is outside the domain."""
+    finite = np.isfinite(slopes).all(axis=1)
+    rates = np.full(len(slopes), math.inf)
+    rates[finite] = [res.value for res in rate_functions(p, slopes[finite])]
+    return rates.tolist()
 
 
 def _action(path: PiecewiseLinearPath, rates) -> float:
-    """sum_k (t_{k+1} - t_k) * rates[k], +inf at the first infinite rate
-    (later rates are not drawn from the iterable)."""
+    """sum_k (t_{k+1} - t_k) * rates[k], +inf at the first infinite rate."""
     total = 0.0
     for dt, piece in zip(path.durations(), rates):
         if math.isinf(piece):

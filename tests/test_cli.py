@@ -261,13 +261,27 @@ def test_dominate_counts_the_largest_box_before_any_step(monkeypatch, capsys):
     assert "budget" in err and "(shape (1601, 1601))" in err
 
 
-def test_convergence_failure_exits_two(monkeypatch, capsys):
+@pytest.mark.parametrize("query", [["--x", "0.3,0.2"], ["--grid", "5"]])
+def test_convergence_failure_exits_two(query, monkeypatch, capsys):
+    # a grid is one batched solve: one row over budget fails the whole run
+    # with the message of a single point
     monkeypatch.setattr(ldp, "MAX_ITERATIONS", 1)
-    code, _, err = run_cli(
-        ["rate-fn", "--dim", "2", "--lambda", "0.5", "--x", "0.3,0.2"], capsys
-    )
+    code, out, err = run_cli(["rate-fn", "--dim", "2", "--lambda", "0.5", *query], capsys)
     assert code == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err == "error: Newton on the dual root did not settle within 1 steps\n"
+
+
+def test_path_rate_middle_segment_outside_is_infinite(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([{"t": 0, "phi": [0.0, 0.0]}, {"t": 0.25, "phi": [0.05, 0.1]},
+                                {"t": 0.5, "phi": [0.3, 0.3]}, {"t": 1, "phi": [0.4, 0.4]}]))
+    code, out, _ = run_cli(["path-rate", "--dim", "2", "--lambda", "0.5",
+                            "--path", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["action"] == "inf"
+    assert [seg["rate"] == "inf" for seg in payload["segments"]] == [False, True, False]
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "5e-324"])

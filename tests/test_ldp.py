@@ -593,6 +593,13 @@ def test_path_leaving_domain_costs_infinity():
     assert ldp.path_rate_functional(p, straight) == pytest.approx(
         math.log(2), abs=1e-12
     )
+    # one batched query for the finite slopes: a middle segment outside the
+    # domain, between two inside it, still makes the action infinite
+    middle = ldp.PiecewiseLinearPath(
+        times=(0.0, 0.25, 0.5, 1.0), values=((0.0,), (0.1,), (0.5,), (0.6,))
+    )
+    assert math.isinf(ldp.path_rate_functional(P1, middle))
+    assert ldp._slope_rates(P1, middle.slopes())[1] == math.inf
 
 
 def test_path_validation():
@@ -828,7 +835,7 @@ def _reference_rate(p: ModelParams, x) -> float:
     if domain_class == "outside":
         return math.inf
     if p.lam == 0.0:
-        return ldp._rate_lam0(p, x).value
+        return max(0.0, ldp.rate_closed_form(p, x))
     if domain_class == "simplex_boundary":
         entropy = float(np.sum(xlogy(x, np.where(x > 0.0, x, 1.0))))
         face = 0.5 * math.log(p.lam) - math.log(p.rho) + math.log(2 * p.dim) + entropy
@@ -885,12 +892,17 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
+def query_points(draw, d: int):
+    w = np.array(draw(st.lists(WEIGHTS, min_size=d, max_size=d)))
+    return w / w.sum() * draw(TOTALS) if w.sum() > 0.0 else w
+
+
+@st.composite
 def rate_queries(draw):
     d = draw(st.integers(1, 6))
     lam = draw(LAMBDAS)
     assume(not (d == 1 and lam == 0.0))
-    w = np.array(draw(st.lists(WEIGHTS, min_size=d, max_size=d)))
-    x = w / w.sum() * draw(TOTALS) if w.sum() > 0.0 else w
+    x = draw(query_points(d))
     return ModelParams(d, lam), x, draw(st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
@@ -996,3 +1008,57 @@ def test_halfspace_infimum_d3_is_rate_at_tilted_mean(lam, frac, seed):
         rest = rng.random(2) + 1e-3
         rest *= (1.0 - a) * rng.random() / rest.sum()
         assert limit <= ldp.rate_function(p, [a, *rest]).value + 1e-12
+
+
+def _bits(res: ldp.RateResult) -> tuple:
+    """Every field of a rate result, each float by its bit pattern."""
+    def exact_float(v):
+        assert type(v) is float
+        return v.hex()
+
+    s = None if res.argmax_s is None else tuple(map(exact_float, res.argmax_s))
+    return (exact_float(res.value), s, res.at_infinity, res.domain_class,
+            res.iterations, exact_float(res.kkt_residual))
+
+
+def _assert_batch_is_one_point(p: ModelParams, points: np.ndarray) -> None:
+    kept = points.copy()
+    batch = ldp.rate_functions(p, points)
+    assert np.array_equal(points, kept)     # the caller's points are not snapped
+    assert len(batch) == len(points)
+    for row, res in zip(points, batch):
+        assert _bits(res) == _bits(ldp.rate_function(p, row)), row.tolist()
+
+
+@given(query=rate_queries(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batch_matches_one_point_bit_for_bit(query, data):
+    # rows of every kind (interior, coordinate faces, the face |x| = 1,
+    # within the snap tolerance, outside) share one Newton solve, and each
+    # row's fields must be those of its one-point query
+    p, x, _ = query
+    more = data.draw(st.lists(query_points(p.dim), max_size=7))
+    _assert_batch_is_one_point(p, np.array([x, *more]))
+
+
+@pytest.mark.parametrize("d, grid, lam", [
+    (d, grid, lam)
+    for d, grid in [(1, 41), (2, 13), (3, 6), (4, 4)]
+    for lam in [0.0, 1e-300, 0.3, 0.5, 0.9]
+    if not (d == 1 and lam == 0.0)     # no rate function for that walk
+])
+def test_batch_matches_one_point_on_full_grids(d, grid, lam):
+    axis = np.linspace(0.0, 1.0, grid)
+    points = np.stack([m.ravel() for m in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    _assert_batch_is_one_point(ModelParams(d, lam), points)
+
+
+def test_batch_of_no_points_and_of_scalars():
+    p = ModelParams(2, 0.5)
+    assert ldp.rate_functions(p, np.empty((0, 2))) == []
+    assert ldp.rate_functions(P1, [0.2, 0.5]) == [ldp.rate_function(P1, 0.2),
+                                                  ldp.rate_function(P1, 0.5)]
+    with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape \(3,\)"):
+        ldp.rate_functions(p, [[0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match=r"finite, got \[0.1, inf\]"):
+        ldp.rate_functions(p, [[0.1, 0.2], [0.1, math.inf]])
