@@ -261,15 +261,24 @@ def test_dominate_counts_the_largest_box_before_any_step(monkeypatch, capsys):
     assert "budget" in err and "(shape (1601, 1601))" in err
 
 
-@pytest.mark.parametrize("query", [["--x", "0.3,0.2"], ["--grid", "5"]])
-def test_convergence_failure_exits_two(query, monkeypatch, capsys):
-    # a grid is one batched solve: one row over budget fails the whole run
+def test_convergence_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(ldp, "MAX_ITERATIONS", 1)
+    code, _, err = run_cli(
+        ["rate-fn", "--dim", "2", "--lambda", "0.5", "--x", "0.3,0.2"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_convergence_failure_in_a_grid_exits_two(monkeypatch, capsys):
+    # a grid is one batched solve: a row over budget fails the whole run
     # with the message of a single point
     monkeypatch.setattr(ldp, "MAX_ITERATIONS", 1)
-    code, out, err = run_cli(["rate-fn", "--dim", "2", "--lambda", "0.5", *query], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: Newton on the dual root did not settle within 1 steps\n"
+    base = ["rate-fn", "--dim", "2", "--lambda", "0.5"]
+    point = run_cli(base + ["--x", "0.3,0.2"], capsys)
+    grid = run_cli(base + ["--grid", "5"], capsys)
+    assert grid == point
+    assert grid == (2, "", "error: Newton on the dual root did not settle within 1 steps\n")
 
 
 def test_path_rate_middle_segment_outside_is_infinite(tmp_path, capsys):

@@ -1031,7 +1031,7 @@ def _assert_batch_is_one_point(p: ModelParams, points: np.ndarray) -> None:
 
 
 @given(query=rate_queries(), data=st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_batch_matches_one_point_bit_for_bit(query, data):
     # rows of every kind (interior, coordinate faces, the face |x| = 1,
     # within the snap tolerance, outside) share one Newton solve, and each
