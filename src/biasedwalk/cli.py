@@ -8,6 +8,11 @@ identical artifacts.  A subcommand is declared once, by the
 `@_command(name, help, *opts)` line above its runner; the argument parser
 is built from those declarations once per process.
 
+A runner returns (payload, header, rows, summary) in plain Python (int,
+float, str, bool, None, lists and dicts), converting numpy once with
+`.tolist()`.  `rows` is the one table, which CSV renders; where the JSON
+rows are the table's rows, each is keyed from it by `dict(zip(header, row))`.
+
 Settings resolve in three layers: built-in defaults, then a `--config`
 file of flat `key=value` lines (keys spelled like the long flags without
 the leading dashes, `#` comments allowed, unknown keys ignored so one
@@ -28,7 +33,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +156,7 @@ def _steps_paths(steps_default: int, paths_default: int, min_steps: int = 1):
 class _Command:
     name: str
     opts: tuple[_Opt, ...]
-    run: object               # cfg dict -> (payload, csv header, csv rows, summary)
+    run: object               # cfg dict -> (payload, header, rows, summary)
     help: str
 
 
@@ -219,23 +224,14 @@ def _start(p: ModelParams, cfg: dict, default, reach: int):
 
 
 def _jsonable(value):
-    """Rewrite a payload so json.dumps is deterministic and strict: numpy
-    scalars/arrays become plain Python, non-finite floats become strings."""
+    """The payload with each non-finite float as its text ("nan", "inf",
+    "-inf"), so that json.dumps stays strict."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     return value
 
 
@@ -245,10 +241,6 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ",".join(_cell(v) for v in value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 
@@ -274,11 +266,6 @@ def _render_artifact(command: _Command, cfg: dict, payload: dict, header: list[s
         if value is not None
     )
     return comments + _csv_table(header, list(rows))
-
-
-def _records(header: list[str], records: list[dict]) -> list[list]:
-    """CSV rows holding the header's fields of each record."""
-    return [[record[key] for key in header] for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +297,19 @@ def _run_simulate(cfg: dict):
         raise CliError(f"--steps must be at least 1 for batch statistics, got {plan.steps}")
     batch = simulate.simulate_batch(plan)
     histogram = dict(sorted(Counter(batch.boundary_visit_counts.tolist()).items()))
+    endpoint, cov = batch.mean_endpoint.tolist(), batch.cov_scaled.tolist()
+    drift = batch.martingale_mean.tolist()
     payload = {
-        "mean_endpoint": batch.mean_endpoint,
-        "cov_scaled": batch.cov_scaled,
-        "martingale_mean": batch.martingale_mean,
+        "mean_endpoint": endpoint,
+        "cov_scaled": cov,
+        "martingale_mean": drift,
         "boundary_visits": {str(k): v for k, v in histogram.items()},
     }
-    rows = [["mean_endpoint", i, "", v] for i, v in enumerate(batch.mean_endpoint)]
-    rows += [["cov_scaled", i, j, batch.cov_scaled[i, j]]
-             for i in range(p.dim) for j in range(p.dim)]
-    rows += [["martingale_mean", i, "", v] for i, v in enumerate(batch.martingale_mean)]
+    rows = [["mean_endpoint", i, "", v] for i, v in enumerate(endpoint)]
+    rows += [["cov_scaled", i, j, v] for i, row in enumerate(cov) for j, v in enumerate(row)]
+    rows += [["martingale_mean", i, "", v] for i, v in enumerate(drift)]
     rows += [["boundary_visits", visits, "", n] for visits, n in histogram.items()]
-    mean = ", ".join(f"{v:.6g}" for v in batch.mean_endpoint)
+    mean = ", ".join(f"{v:.6g}" for v in endpoint)
     summary = f"simulate: paths={plan.paths} steps={plan.steps} mean_endpoint=[{mean}]"
     return payload, ["stat", "i", "j", "value"], rows, summary
 
@@ -337,15 +325,11 @@ def _origin_batch(cfg: dict) -> tuple[ModelParams, simulate.SimPlan]:
 def _run_speed(cfg: dict):
     p, plan = _origin_batch(cfg)
     batch = simulate.simulate_batch(plan)
-    limit = p.speed
-    errors = np.abs(batch.mean_endpoint - limit)
-    payload = {
-        "observed": batch.mean_endpoint,
-        "limit": limit,
-        "max_abs_error": float(errors.max()),
-    }
-    rows = [[i + 1, batch.mean_endpoint[i], limit[i], errors[i]] for i in range(p.dim)]
-    summary = f"speed: max abs error {errors.max():.6g} over {p.dim} coordinates"
+    observed, limit = batch.mean_endpoint.tolist(), p.speed.tolist()
+    errors = np.abs(batch.mean_endpoint - p.speed).tolist()
+    payload = {"observed": observed, "limit": limit, "max_abs_error": max(errors)}
+    rows = [[i + 1, *cols] for i, cols in enumerate(zip(observed, limit, errors))]
+    summary = f"speed: max abs error {max(errors):.6g} over {p.dim} coordinates"
     return payload, ["coord", "observed", "limit", "abs_error"], rows, summary
 
 
@@ -356,9 +340,9 @@ def _run_clt(cfg: dict):
     batch = simulate.simulate_batch(plan)
     sigma = ldp.sigma_matrix(p)
     rel = float(np.linalg.norm(batch.cov_scaled - sigma) / np.linalg.norm(sigma))
-    payload = {"cov_scaled": batch.cov_scaled, "sigma": sigma, "frobenius_rel_error": rel}
-    rows = [[i + 1, j + 1, batch.cov_scaled[i, j], sigma[i, j]]
-            for i in range(p.dim) for j in range(p.dim)]
+    cov, sigma = batch.cov_scaled.tolist(), sigma.tolist()
+    payload = {"cov_scaled": cov, "sigma": sigma, "frobenius_rel_error": rel}
+    rows = [[i + 1, j + 1, cov[i][j], sigma[i][j]] for i in range(p.dim) for j in range(p.dim)]
     summary = f"clt: Frobenius relative error {rel:.6g}"
     return payload, ["i", "j", "observed", "limit"], rows, summary
 
@@ -368,10 +352,10 @@ def _run_clt(cfg: dict):
 def _run_martingale(cfg: dict):
     p, plan = _origin_batch(cfg)
     diag = simulate.martingale_diagnostic(plan)
-    rows = [[i + 1, diag.mean[i], diag.variance[i]] for i in range(p.dim)]
-    summary = f"martingale: max |mean| {np.abs(diag.mean).max():.6g}"
-    return ({"mean": diag.mean, "variance": diag.variance},
-            ["coord", "mean", "variance"], rows, summary)
+    mean, variance = diag.mean.tolist(), diag.variance.tolist()
+    rows = [[i + 1, m, v] for i, (m, v) in enumerate(zip(mean, variance))]
+    summary = f"martingale: max |mean| {max(map(abs, mean)):.6g}"
+    return {"mean": mean, "variance": variance}, ["coord", "mean", "variance"], rows, summary
 
 
 @_command("boundary", "histogram of per-path boundary visit counts",
@@ -392,29 +376,25 @@ def _run_mgf(cfg: dict):
     if len(s) != p.dim:
         raise CliError(f"--s needs {p.dim} comma-separated components")
     limit = ldp.log_psi(p, s)
-    records = []
+    rows = []
     for n in cfg["n_list"]:
         value = exact.log_mgf(p, (0,) * p.dim, n, s)
-        records.append({"n": n, "log_mgf": value, "scaled": value / n, "limit": limit,
-                        "gap": value / n - limit})
+        rows.append([n, value, value / n, limit, value / n - limit])
     header = ["n", "log_mgf", "scaled", "limit", "gap"]
-    last = records[-1]
-    summary = f"mgf: final |gap| {abs(last['gap']):.6g} at n={last['n']}"
-    return {"s": list(s), "rows": records}, header, _records(header, records), summary
+    summary = f"mgf: final |gap| {abs(rows[-1][4]):.6g} at n={rows[-1][0]}"
+    records = [dict(zip(header, row)) for row in rows]
+    return {"s": list(s), "rows": records}, header, rows, summary
 
 
 @_command("return-prob", "exact return probabilities up to a horizon",
           _Opt("n-max", "int", lo=0, help="largest horizon (even horizons reported)"))
 def _run_return_prob(cfg: dict):
     p = _params(cfg)
-    records = [
-        {"n": n, "probability": q, "log_prob": math.log(q) if q > 0 else -math.inf}
-        for n, q in exact.return_probability_profile(p, cfg["n_max"])
-    ]
+    rows = [[n, q, math.log(q) if q > 0 else -math.inf]
+            for n, q in exact.return_probability_profile(p, cfg["n_max"])]
     header = ["n", "probability", "log_prob"]
-    last = records[-1]
-    summary = f"return-prob: P(X_{last['n']} = 0) = {last['probability']:.6g}"
-    return {"rows": records}, header, _records(header, records), summary
+    summary = f"return-prob: P(X_{rows[-1][0]} = 0) = {rows[-1][1]:.6g}"
+    return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, summary
 
 
 @_command("ballot", "path counts with and without a floor, and their inequality",
@@ -427,21 +407,12 @@ def _run_ballot(cfg: dict):
     count = exact.ballot_counts(cfg["n"], cfg["alpha"], cfg["beta"])
     lhs = count.n * count.floored
     rhs = max(abs(count.alpha - count.beta), 1) * count.total
-    payload = {
-        "n": count.n,
-        "alpha": count.alpha,
-        "beta": count.beta,
-        "total": count.total,
-        "floored": count.floored,
-        "bound_lhs": lhs,
-        "bound_rhs": rhs,
-        "satisfied": lhs >= rhs,
-    }
+    record = {**asdict(count), "bound_lhs": lhs, "bound_rhs": rhs, "satisfied": lhs >= rhs}
     summary = (
         f"ballot: total={count.total} floored={count.floored} "
         f"bound {'holds' if lhs >= rhs else 'FAILS'}"
     )
-    return payload, list(payload), [list(payload.values())], summary
+    return record, list(record), [list(record.values())], summary
 
 
 @_command("dominate", "two-sided comparison against the drifted walk",
@@ -456,16 +427,13 @@ def _run_dominate(cfg: dict):
         raise CliError("dominate: --start applies only to --mode lower")
     reports = exact.domination_profile(p, cfg["mode"], cfg["n_max"],
                                        start=_start(p, cfg, None, cfg["n_max"]))
-    records = [{k: v for k, v in asdict(r).items() if v is not None} for r in reports]
-    if upper:
-        header = ["n", "cells_checked", "max_violation"]
-        worst = max(r.max_violation for r in reports)
-        summary = f"dominate: upper bound, worst violation {worst:.6g}"
-    else:
-        header = ["n", "cells_checked", "min_slack"]
-        worst = min(r.min_slack for r in reports)
-        summary = f"dominate: lower bound, smallest slack {worst:.6g}"
-    return {"rows": records}, header, _records(header, records), summary
+    header = ["n", "cells_checked", "max_violation" if upper else "min_slack"]
+    rows = [[r.n, r.cells_checked, getattr(r, header[2])] for r in reports]
+    bounds = [row[2] for row in rows]
+    summary = (f"dominate: upper bound, worst violation {max(bounds):.6g}" if upper else
+               f"dominate: lower bound, smallest slack {min(bounds):.6g}")
+    records = [{"mode": cfg["mode"], **dict(zip(header, row))} for row in rows]
+    return {"rows": records}, header, rows, summary
 
 
 def _require_transform_params(cfg: dict, command: str) -> ModelParams:
@@ -494,7 +462,7 @@ def _run_rate_fn(cfg: dict):
     if x is not None:
         if len(x) != p.dim:
             raise CliError(f"--x needs {p.dim} comma-separated components")
-        points = [x]
+        points = np.array([x])
     else:
         # --grid is at least 2, so past this many axes the grid is over
         # budget, and the power need not be formed
@@ -507,9 +475,10 @@ def _run_rate_fn(cfg: dict):
         mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
     results = ldp.rate_functions(p, points)
+    points = points.tolist()
     records = [
         {
-            "x": [float(c) for c in pt],
+            "x": pt,
             "value": res.value,
             "class": res.domain_class,
             "argmax_s": None if res.argmax_s is None else list(res.argmax_s),
@@ -545,11 +514,14 @@ def _run_matrix_check(cfg: dict):
 def _run_path_rate(cfg: dict):
     p = _require_transform_params(cfg, "path-rate")
     try:
-        rows = json.loads(Path(cfg["path"]).read_text(encoding="utf-8"))
+        breakpoints = json.loads(Path(cfg["path"]).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as err:
         # ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
         raise CliError(f"--path: cannot read {cfg['path']!r}: {err}") from None
-    path = ldp.path_from_json(rows)
+    # checked here: path_from_json would decode a JSON string a second time
+    if not isinstance(breakpoints, list):
+        raise CliError(f"--path: {cfg['path']!r} must hold a JSON array of breakpoints")
+    path = ldp.path_from_json(breakpoints)
     if path.dim != p.dim:
         raise CliError(
             f"--path breakpoints have dimension {path.dim}, --dim is {p.dim}"
@@ -558,11 +530,8 @@ def _run_path_rate(cfg: dict):
     rates = ldp._slope_rates(p, slopes)
     action = ldp._action(path, rates)
     times = path.times
-    segments = [
-        {"t0": times[k], "t1": times[k + 1], "slope": [float(c) for c in slope],
-         "rate": rate}
-        for k, (slope, rate) in enumerate(zip(slopes, rates))
-    ]
+    segments = [{"t0": t0, "t1": t1, "slope": slope, "rate": rate}
+                for t0, t1, slope, rate in zip(times, times[1:], slopes.tolist(), rates)]
     header = ["t0", "t1"] + [f"slope{i + 1}" for i in range(p.dim)] + ["rate"]
     rows = [[seg["t0"], seg["t1"], *seg["slope"], seg["rate"]] for seg in segments]
     summary = f"path-rate: action={action!r} over {len(segments)} segments"
@@ -573,15 +542,15 @@ def _run_path_rate(cfg: dict):
           _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"), _N_LIST)
 def _run_ldp_consistency(cfg: dict):
     p = _require_transform_params(cfg, "ldp-consistency")
-    rows = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
-    records = [asdict(r) for r in rows]
+    table = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
     header = ["n", "tail_prob", "empirical_rate", "limit_rate", "gap"]
-    last = rows[-1]
+    rows = [list(astuple(r)) for r in table]
+    last = table[-1]
     summary = (
         f"ldp-consistency: gap {last.gap:.6g} at n={last.n} "
         f"(limit {last.limit_rate:.6g})"
     )
-    return {"rows": records}, header, _records(header, records), summary
+    return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, summary
 
 
 @functools.cache

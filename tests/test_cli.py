@@ -418,6 +418,78 @@ def test_json_serializes_non_finite_as_strings(capsys):
     assert body["class"] == "outside"
 
 
+_PLAIN = (int, float, str, bool, type(None))
+
+
+def _assert_plain(value, where):
+    """Every leaf has exact type int, float, str, bool or None, every
+    container is a list or a dict, and every dict key is a string."""
+    if type(value) is dict:
+        for key, v in value.items():
+            assert type(key) is str, (where, key)
+            _assert_plain(v, f"{where}.{key}")
+    elif type(value) is list:
+        for i, v in enumerate(value):
+            _assert_plain(v, f"{where}[{i}]")
+    else:
+        assert type(value) in _PLAIN, (where, type(value))
+
+
+# one run per runner branch, at small sizes; path-rate reads "path.json"
+_MODEL = ["--dim", "2", "--lambda", "0.5"]
+_BATCH = _MODEL + ["--steps", "20", "--paths", "4"]
+_CONTRACT_RUNS = {
+    "simulate": ["simulate", *_BATCH],
+    "simulate-dump": ["simulate", *_BATCH, "--dump-trajectories"],
+    "speed": ["speed", *_BATCH],
+    "clt": ["clt", *_BATCH],
+    "martingale": ["martingale", *_BATCH],
+    "boundary": ["boundary", *_BATCH],
+    "mgf": ["mgf", *_MODEL, "--s", "0.1,-0.3", "--n-list", "5,10"],
+    "return-prob": ["return-prob", "--dim", "2", "--lambda", "0", "--n-max", "4"],
+    "ballot": ["ballot", "--dim", "1", "--lambda", "0", "--n", "7", "--alpha", "2",
+               "--beta", "3"],
+    "dominate-upper": ["dominate", *_MODEL, "--mode", "upper", "--n-max", "3"],
+    "dominate-lower": ["dominate", *_MODEL, "--mode", "lower", "--n-max", "3"],
+    "rate-fn-x": ["rate-fn", *_MODEL, "--x", "0.2,0.3"],
+    "rate-fn-grid": ["rate-fn", *_MODEL, "--grid", "3"],
+    "matrix-check": ["matrix-check", *_MODEL],
+    "path-rate": ["path-rate", "--dim", "1", "--lambda", "0.25", "--path", "path.json"],
+    "ldp-consistency": ["ldp-consistency", "--dim", "1", "--lambda", "0.25", "--a", "0.9",
+                        "--n-list", "20"],
+}
+
+
+def test_contract_runs_cover_every_subcommand():
+    assert {argv[0] for argv in _CONTRACT_RUNS.values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("run", list(_CONTRACT_RUNS))
+def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys):
+    # the artifact layer gets plain Python only: numpy is converted once,
+    # by the runner, never by the renderer
+    (tmp_path / "path.json").write_text(
+        '[{"t": 0, "phi": [0]}, {"t": 0.5, "phi": [0.2]}, {"t": 1, "phi": [0.8]}]')
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    render = cli._render_artifact
+
+    def checked(command, cfg, payload, header, rows):
+        rows = list(rows)
+        seen.append((payload, header, rows))
+        return render(command, cfg, payload, header, rows)
+
+    monkeypatch.setattr(cli, "_render_artifact", checked)
+    code, _, err = run_cli([*_CONTRACT_RUNS[run], "--format", fmt], capsys)
+    assert code == 0, err
+    [(payload, header, rows)] = seen
+    _assert_plain(payload, "payload")
+    assert type(header) is list and all(type(h) is str for h in header)
+    assert rows and all(type(row) is list and len(row) == len(header) for row in rows)
+    _assert_plain(rows, "rows")
+
+
 # ---------------------------------------------------------------------------
 # per-command payloads
 # ---------------------------------------------------------------------------
@@ -605,6 +677,18 @@ def test_path_file_that_does_not_decode_names_the_flag(tmp_path, capsys, text):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: --path: cannot read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"t": 0, "phi": [0]}', "0.5", "true", "null"])
+def test_path_file_that_holds_no_array_names_the_flag(tmp_path, capsys, text):
+    # the golden err-path-* cases pin the same message for JSON strings
+    src = tmp_path / "path.json"
+    src.write_text(text)
+    code, out, err = run_cli(
+        ["path-rate", "--dim", "1", "--lambda", "0.25", "--path", str(src)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: --path: {str(src)!r} must hold a JSON array of breakpoints\n"
 
 
 def test_ldp_consistency_rows_match_library(capsys):

@@ -96,6 +96,8 @@ CASES: dict[str, list[str]] = {
     **_both("mgf-d3", _model("mgf", 3, "0.4") + ["--s", "0.3,-0.2,0.1", "--n-list", "20,40"]),
     **_both("mgf-d2-long", _model("mgf", 2, "0.3") + ["--s=-0.4,0.6", "--n-list", "60,120"]),
     **_both("return-prob-d3", _model("return-prob", 3, "0.5") + ["--n-max", "30"]),
+    # lambda 0 never returns at n >= 2: log_prob renders as -inf
+    **_both("return-prob-lam0", _model("return-prob", 2, "0") + ["--n-max", "4"]),
     **_both("dominate-upper-d3", _model("dominate", 3, "0.5")
             + ["--mode", "upper", "--n-max", "6"]),
     **_both("dominate-lower-d3", _model("dominate", 3, "0.5")
@@ -133,6 +135,10 @@ CASES: dict[str, list[str]] = {
     "err-path-dim": _model("path-rate", 2, "0.5") + ["--path", "path1.json"],
     "err-path-not-json": _model("path-rate", 1, "0.25") + ["--path", "not_json.json"],
     "err-path-not-utf8": _model("path-rate", 1, "0.25") + ["--path", "not_utf8.json"],
+    # a JSON string, of a valid path or of anything else, is not decoded again
+    "err-path-encoded-twice": _model("path-rate", 1, "0.25")
+    + ["--path", "path_encoded_twice.json"],
+    "err-path-string": _model("path-rate", 1, "0.25") + ["--path", "path_string.json"],
     "err-config-not-utf8": ["matrix-check", "--config", "not_utf8.cfg"],
     "err-out-unwritable": _model("matrix-check", 2, "0.5") + ["--out", "absent/x.json"],
     # exit 1: range errors, whose wording is not pinned (UNPINNED_MESSAGES)
