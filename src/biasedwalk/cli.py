@@ -337,8 +337,12 @@ def _run_speed(cfg: dict):
           *_steps_paths(10000, 10000))
 def _run_clt(cfg: dict):
     p, plan = _origin_batch(cfg)
-    batch = simulate.simulate_batch(plan)
     sigma = ldp.sigma_matrix(p)
+    # at d = 1 it is 1 - v^2, which is 0 at lam = 0 and rounds to 0 below about 1e-17
+    if not sigma.any():
+        raise CliError(f"clt: --lambda {p.lam!r} gives a zero limiting covariance at "
+                       "--dim 1, so there is no relative error to report")
+    batch = simulate.simulate_batch(plan)
     rel = float(np.linalg.norm(batch.cov_scaled - sigma) / np.linalg.norm(sigma))
     cov, sigma = batch.cov_scaled.tolist(), sigma.tolist()
     payload = {"cov_scaled": cov, "sigma": sigma, "frobenius_rel_error": rel}
@@ -521,7 +525,10 @@ def _run_path_rate(cfg: dict):
     # checked here: path_from_json would decode a JSON string a second time
     if not isinstance(breakpoints, list):
         raise CliError(f"--path: {cfg['path']!r} must hold a JSON array of breakpoints")
-    path = ldp.path_from_json(breakpoints)
+    try:
+        path = ldp.path_from_json(breakpoints)
+    except ValueError as err:
+        raise CliError(f"--path: {cfg['path']!r}: {err}") from None
     if path.dim != p.dim:
         raise CliError(
             f"--path breakpoints have dimension {path.dim}, --dim is {p.dim}"

@@ -15,9 +15,10 @@ after every step, the values and their int64 lattice sites, so a reader
 of many horizons needs one sweep, and a start far from the origin is
 swept as a near one is.  A start whose box leaves the int64 range raises
 ValueError.  Truncating would silently void the inequality checks, so none is
-performed; requests whose whole box would exceed the configured cell
-budget raise ResourceBudgetError instead, at the call, before any step;
-a sweep holds an int32 per box cell, so the budget bounds its memory too.
+performed; requests whose whole box would exceed the cell budget
+MAX_CELLS, read at each call, raise ResourceBudgetError instead, before
+any step; a sweep holds an int32 per box cell, so the budget bounds its
+memory too.
 
 The module provides
 
@@ -58,13 +59,15 @@ from .kernel import ModelParams, State, _check_site, _integer, _moves, kappa
 
 SparseDistribution = dict[State, float]
 
-# Cell budget for dense propagation; d <= 3 at a few hundred steps fits.
-DEFAULT_MAX_CELLS = 2_000_000
+# Cell budget for dense propagation, read at each call; d <= 3 at a few
+# hundred steps fits.
+MAX_CELLS = 2_000_000
 
-# Work budget for the rational oracle (see enumerate_oracle): d=1 to n=80,
-# d=2 to n=24 and d=3 to n=12 fit, each in under a second at lam = 0.3,
-# and d=1 to n=29, d=2 to n=11 and d=3 to n=6 at lam = 5e-324.
-DEFAULT_MAX_WORK = 1_100_000
+# Work budget for the rational oracle (see enumerate_oracle), read at each
+# call: d=1 to n=80, d=2 to n=24 and d=3 to n=12 fit, each in under a
+# second at lam = 0.3, and d=1 to n=29, d=2 to n=11 and d=3 to n=6 at
+# lam = 5e-324.
+MAX_WORK = 1_100_000
 _LAM_BITS = 55  # bit length of Fraction(0.3).denominator, the count's unit
 
 
@@ -232,65 +235,48 @@ def _box(
 
 
 def _sweep(
-    p: ModelParams, walk: str, start: State, n: int, max_cells: float
+    p: ModelParams, walk: str, start: State, n: int
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """Check the arguments and budget of a sweep of the walk from start
-    (see _box), then return the readings of its n steps (see _evolve)."""
-    return _evolve(p, walk, start, n, _box(p, walk, start, n, max_cells))
+    """Check the arguments of a sweep of the walk from start against the
+    cell budget MAX_CELLS (see _box), then return the readings of its n
+    steps (see _evolve)."""
+    return _evolve(p, walk, start, n, _box(p, walk, start, n, MAX_CELLS))
 
 
-def _law(p, walk, start, n, max_cells) -> SparseDistribution:
+def _law(p, walk, start, n) -> SparseDistribution:
     """The n-step law of the walk from start, keyed by lattice site in C
     order."""
-    *_, last = _sweep(p, walk, start, n, max_cells)
+    *_, last = _sweep(p, walk, start, n)
     values, sites = _site_order(*last)
     return dict(zip(zip(*(c.tolist() for c in sites)), values.tolist()))
 
 
-def propagate(
-    p: ModelParams,
-    start: State,
-    n: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> SparseDistribution:
+def propagate(p: ModelParams, start: State, n: int) -> SparseDistribution:
     """Exact law of the reflected chain after n steps from start in Z_+^d.
 
     Support is contained in {y in Z_+^d : sum(y) <= sum(start) + n, with
     sum(y) = sum(start) + n (mod 2)}; total mass is 1 up to rounding.
     """
-    return _law(p, "reflected", start, n, max_cells)
+    return _law(p, "reflected", start, n)
 
 
-def propagate_full(
-    p: ModelParams,
-    start: State,
-    n: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> SparseDistribution:
+def propagate_full(p: ModelParams, start: State, n: int) -> SparseDistribution:
     """Exact law of the signed walk on Z^d after n steps from start.
 
     Needed by the domination checks: reading the orthant values off the
     reflected law by redistributing over sign patterns is wrong in general,
     so the full chain is propagated directly.
     """
-    return _law(p, "signed", start, n, max_cells)
+    return _law(p, "signed", start, n)
 
 
-def propagate_drifted(
-    p: ModelParams,
-    start: State,
-    n: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> SparseDistribution:
+def propagate_drifted(p: ModelParams, start: State, n: int) -> SparseDistribution:
     """Exact law of the free comparison walk Z after n steps from start.
 
     Z steps +e_i with probability 1/(d(1+lam)) and -e_i with probability
     lam/(d(1+lam)) regardless of position.
     """
-    return _law(p, "drifted", start, n, max_cells)
+    return _law(p, "drifted", start, n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +309,7 @@ def _rational_moves(lam: Fraction, v: State) -> list[tuple[State, Fraction]]:
     return moves
 
 
-def enumerate_oracle(
-    p: ModelParams,
-    start: State,
-    n: int,
-    *,
-    max_work: int = DEFAULT_MAX_WORK,
-) -> dict[State, Fraction]:
+def enumerate_oracle(p: ModelParams, start: State, n: int) -> dict[State, Fraction]:
     """Exact n-step law of the signed walk in rational arithmetic.
 
     Pushes each site's mass through one step at a time with the oracle's
@@ -346,7 +326,7 @@ def enumerate_oracle(
     the denominator of Fraction(lam), 55 at lam = 0.3 and 1075 at 5e-324,
     so the count is the sites times 2d (d + n max(b, 55) / 55), rounded
     down: a lam with a shorter rational counts as 0.3 does.  It is checked
-    at the call, before any step.
+    against MAX_WORK at the call, before any step.
     """
     # the arguments of a signed sweep, with no cell budget
     _box(p, "signed", start, n, math.inf)
@@ -354,9 +334,9 @@ def enumerate_oracle(
     sites = sum(2**i * math.comb(d, i) * math.comb(n + 1, i + 1) for i in range(d + 1))
     bits = max(lam.denominator.bit_length(), _LAM_BITS)
     work = sites * 2 * d * (d * _LAM_BITS + n * bits) // _LAM_BITS
-    if work > max_work:
+    if work > MAX_WORK:
         raise ResourceBudgetError(f"oracle would do {work} units of work "
-                                  f"({sites} sites), budget is {max_work}")
+                                  f"({sites} sites), budget is {MAX_WORK}")
     law = {tuple(start): Fraction(1)}
     for _ in range(n):
         step: dict[State, Fraction] = {}
@@ -399,9 +379,8 @@ def _log_law(
     """The tilt-independent part of log_mgf: ln of the nonzero masses of
     the n-step reflected law from start, in C order of their sites, and
     those sites, an int64 array per axis.  Kept for the last few (p, start,
-    n), so that a run of tilts sweeps once; the caller has checked the
-    arguments and the budget.  The arrays are read-only."""
-    *_, last = _sweep(p, "reflected", start, n, math.inf)
+    n), so that a run of tilts sweeps once.  The arrays are read-only."""
+    *_, last = _sweep(p, "reflected", start, n)
     values, sites = _site_order(*last)
     logs = np.log(values)
     for a in (logs, *sites):
@@ -409,14 +388,7 @@ def _log_law(
     return logs, sites
 
 
-def log_mgf(
-    p: ModelParams,
-    start: State,
-    n: int,
-    s,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> float:
+def log_mgf(p: ModelParams, start: State, n: int, s) -> float:
     """Lambda_n(s, start) = ln E_start[exp(sum_i s_i |X_n^i|)].
 
     Computed from the exact reflected law with log-space accumulation, so
@@ -425,7 +397,7 @@ def log_mgf(
     """
     s = _finite_vector("s", s, p.dim)
     # checked before the lookup, so a kept law never escapes a smaller budget
-    _box(p, "reflected", start, n, max_cells)
+    _box(p, "reflected", start, n, MAX_CELLS)
     logs, sites = _log_law(p, tuple(int(c) for c in start), int(n))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = logs
@@ -444,12 +416,7 @@ def log_mgf(
     return value
 
 
-def return_probability(
-    p: ModelParams,
-    horizon: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> float:
+def return_probability(p: ModelParams, horizon: int) -> float:
     """P(X_horizon = 0 | X_0 = 0) for an even horizon.
 
     The walk has period two, so only even horizons are meaningful; odd ones
@@ -457,20 +424,15 @@ def return_probability(
     """
     if horizon < 0 or horizon % 2:
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
-    *_, (values, _) = _sweep(p, "reflected", (0,) * p.dim, horizon, max_cells)
+    *_, (values, _) = _sweep(p, "reflected", (0,) * p.dim, horizon)
     # a reading starts with the start's value
     return float(values[0])
 
 
-def return_probability_profile(
-    p: ModelParams,
-    max_horizon: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> list[tuple[int, float]]:
+def return_probability_profile(p: ModelParams, max_horizon: int) -> list[tuple[int, float]]:
     """All pairs (2m, P(X_{2m} = 0 | X_0 = 0)) with 2m <= max_horizon,
     from a single propagation sweep."""
-    readings = _sweep(p, "reflected", (0,) * p.dim, max_horizon, max_cells)
+    readings = _sweep(p, "reflected", (0,) * p.dim, max_horizon)
     # a reading starts with the start's value
     return [(k, float(values[0])) for k, (values, _) in enumerate(readings) if k % 2 == 0]
 
@@ -542,7 +504,7 @@ class DominationReport:
 
 
 def _dominations(
-    p: ModelParams, mode: str, start: State | None, first: int, n: int, max_cells: float
+    p: ModelParams, mode: str, start: State | None, first: int, n: int
 ) -> Iterator[DominationReport]:
     """The reports of the mode's check at horizons first..n, read off one
     signed and one drifted sweep from start to n.  The arguments and the
@@ -557,8 +519,8 @@ def _dominations(
         raise ValueError(f"start must have every coordinate >= 1, got {start}")
     if mode == "lower" and first < 1:
         raise ValueError(f"need at least one step, got n={first}")
-    signed = _sweep(p, "signed", start, n, max_cells)
-    drifted = _sweep(p, "drifted", start, n, max_cells)
+    signed = _sweep(p, "signed", start, n)
+    drifted = _sweep(p, "drifted", start, n)
     return (_domination_report(p, mode, k, px, pz, sites)
             for k, ((px, sites), (pz, _)) in enumerate(zip(signed, drifted)) if k >= first)
 
@@ -584,35 +546,23 @@ def domination_profile(
     n_max: int,
     *,
     start: State | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> list[DominationReport]:
     """The reports of check_domination_upper (mode 'upper', from the
     origin) or check_domination_lower (mode 'lower', from start, all ones
     by default) for n = 1..n_max, from a single signed and a single drifted
     sweep.  The budget counts the n_max box."""
-    return list(_dominations(p, mode, start, 1, n_max, max_cells))
+    return list(_dominations(p, mode, start, 1, n_max))
 
 
-def check_domination_upper(
-    p: ModelParams,
-    n: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> DominationReport:
+def check_domination_upper(p: ModelParams, n: int) -> DominationReport:
     """Verify P_0(X_n = k) <= P(Z_n = k | Z_0 = 0) for every k in Z_+^d.
 
     Scans the union of both supports restricted to the orthant and reports
     the largest difference (mathematically <= 0)."""
-    return next(_dominations(p, "upper", None, n, n, max_cells))
+    return next(_dominations(p, "upper", None, n, n))
 
 
-def check_domination_lower(
-    p: ModelParams,
-    z: State,
-    n: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> DominationReport:
+def check_domination_lower(p: ModelParams, z: State, n: int) -> DominationReport:
     """Verify P_z(X_n = k) >= n^(-d) P(Z_n = k | Z_0 = z) for every k in
     Z_+^d, for a start z with every coordinate >= 1 (off the boundary)."""
-    return next(_dominations(p, "lower", z, n, n, max_cells))
+    return next(_dominations(p, "lower", z, n, n))

@@ -448,13 +448,7 @@ def _halfspace_infimum(p: ModelParams, a: float) -> float:
     return max(0.0, a * s - log_psi(p, [s] + [0.0] * (p.dim - 1)))
 
 
-def ldp_consistency(
-    p: ModelParams,
-    a: float,
-    n_values,
-    *,
-    max_cells: int = exact.DEFAULT_MAX_CELLS,
-) -> list[ConsistencyRow]:
+def ldp_consistency(p: ModelParams, a: float, n_values) -> list[ConsistencyRow]:
     """Exact finite-n tail rates against the limiting rate, one row per
     horizon.
 
@@ -474,7 +468,7 @@ def ldp_consistency(
         raise ValueError("horizons must be positive")
     limit = _halfspace_infimum(p, a)
     # fsum ignores the order of the terms
-    readings = exact._sweep(p, "reflected", (0,) * p.dim, max(horizons, default=0), max_cells)
+    readings = exact._sweep(p, "reflected", (0,) * p.dim, max(horizons, default=0))
     tails = {k: math.fsum(values[sites[0] >= math.ceil(a * k - 1e-9)])
              for k, (values, sites) in enumerate(readings) if k in horizons}
     rows = []

@@ -50,8 +50,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _SALT = 0xC2B2AE3D27D4EB4F
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-# Budget on paths * dim for the in-memory state block.
-DEFAULT_MAX_ELEMENTS = 50_000_000
+# Budget on paths * dim for the in-memory state block, and on the history's
+# elements, read at each call.
+MAX_ELEMENTS = 50_000_000
 
 # Steps per block.  A path whose smallest coordinate is at least the block
 # length cannot reach a coordinate hyperplane before the block's last step.
@@ -334,9 +335,7 @@ def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
     )
 
 
-def simulate_batch(
-    plan: SimPlan, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> BatchSummary:
+def simulate_batch(plan: SimPlan) -> BatchSummary:
     """Run the plan and aggregate the batch statistics.
 
     Deterministic: the same plan yields a bit-identical summary regardless
@@ -346,7 +345,7 @@ def simulate_batch(
     p = plan.params
     if plan.steps < 1:
         raise ValueError("batch statistics need steps >= 1")
-    raw = _run(plan, keep_path=False, max_elements=max_elements)
+    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
     n, m = plan.steps, plan.paths
     mean_endpoint = (raw.endpoints / n).mean(axis=0)
     centred = (raw.endpoints - n * p.speed) / np.sqrt(n)    # (m, d)
@@ -362,31 +361,27 @@ def simulate_batch(
     )
 
 
-def trajectory(plan: SimPlan, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> np.ndarray:
+def trajectory(plan: SimPlan) -> np.ndarray:
     """Full single path as an (n+1, d) integer array; requires paths = 1.
 
     The path is the same one that path index 0 of any batch with this seed
     follows."""
     if plan.paths != 1:
         raise ValueError(f"trajectory needs paths=1, got {plan.paths}")
-    return trajectories(plan, max_elements=max_elements)[0]
+    return trajectories(plan)[0]
 
 
-def trajectories(
-    plan: SimPlan, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> np.ndarray:
+def trajectories(plan: SimPlan) -> np.ndarray:
     """Full batch history as a (paths, steps+1, dim) integer array.
 
     Row j is exactly the trajectory that path index j follows in any batch
     sharing this plan's seed, so the array is reproducible path by path."""
-    raw = _run(plan, keep_path=True, max_elements=max_elements)
+    raw = _run(plan, keep_path=True, max_elements=MAX_ELEMENTS)
     assert raw.states is not None
     return np.swapaxes(raw.states, 0, 1)
 
 
-def martingale_diagnostic(
-    plan: SimPlan, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> MartingaleDiagnostic:
+def martingale_diagnostic(plan: SimPlan) -> MartingaleDiagnostic:
     """Sample mean and variance per coordinate of the increments
     xi_k = |X_k| - |X_{k-1}| - f(X_{k-1}) over all (path, step) pairs.
 
@@ -395,21 +390,19 @@ def martingale_diagnostic(
     of the diffusive covariance for long runs."""
     if plan.steps < 1:
         raise ValueError("martingale statistics need steps >= 1")
-    raw = _run(plan, keep_path=False, max_elements=max_elements)
+    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
     count = plan.steps * plan.paths
     mean = raw.xi_sum / count
     variance = raw.xi_sumsq / count - mean**2
     return MartingaleDiagnostic(mean=mean, variance=variance)
 
 
-def boundary_visits(
-    plan: SimPlan, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> dict[int, int]:
+def boundary_visits(plan: SimPlan) -> dict[int, int]:
     """Histogram {visit count: number of paths} of the per-path number of
     indices 0 <= k <= n at which some coordinate is zero.
 
     For lam < 1 the chain leaves the coordinate hyperplanes for good after
     an almost-surely finite number of visits, so the histogram stabilises
     as n grows."""
-    raw = _run(plan, keep_path=False, max_elements=max_elements)
+    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
     return dict(sorted(Counter(raw.visits.tolist()).items()))

@@ -65,6 +65,18 @@ def test_rate_fn_rejects_deterministic_one_dim(capsys):
     assert "--lambda" in err
 
 
+@pytest.mark.parametrize("lam", ["0", "5e-324", "1e-17"])
+def test_clt_rejects_a_zero_limiting_covariance(capsys, lam):
+    # at d = 1 the limiting covariance 1 - v^2 is 0 at lambda 0 and rounds
+    # to 0 for a tiny lambda, so a relative error would be 0/0: before,
+    # the run exited 0 with frobenius_rel_error "nan"
+    code, out, err = run_cli(
+        ["clt", "--dim", "1", "--lambda", lam, "--steps", "5", "--paths", "3"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: clt: --lambda ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -663,6 +675,7 @@ def test_path_rate_non_numbers_exit_one(tmp_path, capsys, row):
         ["path-rate", "--dim", "2", "--lambda", "0.5", "--path", str(src)], capsys
     )
     assert code == 1 and out == ""
+    assert err.startswith("error: --path: ")
     assert "'t'" in err or "'phi'" in err
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from biasedwalk import ModelParams, ResourceBudgetError, cli, exact
+from biasedwalk import ModelParams, ResourceBudgetError, cli, exact, ldp, simulate
 from biasedwalk.kernel import _moves
 from biasedwalk.exact import (
     BallotCount,
@@ -238,8 +239,7 @@ def test_reachable_sweep_peak_memory():
     # a d=3 sweep keeps its tables over the reachable cells only: the whole
     # box costs one int32 array
     def sweep(n):
-        for _ in exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), n,
-                              exact.DEFAULT_MAX_CELLS):
+        for _ in exact._sweep(ModelParams(3, 0.5), "reflected", (0, 0, 0), n):
             pass
 
     sweep(2)
@@ -259,7 +259,7 @@ def _cells(law):
 
 
 def _reflected_step(p):
-    return _cells(propagate(p, (0,) * p.dim, 1, max_cells=2**p.dim))
+    return _cells(propagate(p, (0,) * p.dim, 1))
 
 
 def _signed_step(p):
@@ -278,13 +278,16 @@ def _upper_step(p):
     (12, _signed_step, 24, 8 * 2**20),
     (13, _upper_step, 13, 16 * 2**20),
 ])
-def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, step, size, bound):
+def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, step, size, bound, monkeypatch):
     # one step from the origin needs a box of 2^d cells (3^d for the signed
     # and drifted walks), which the budget allows; a distance array over
     # the box framed by one cell per side would hold 4^d cells (4 MiB at
     # d = 10, 64 MiB at d = 12), and a move table with a row per zero
-    # pattern or sign pattern 2^d or 3^d rows of 2d widths.  Measured cold
+    # pattern or sign pattern 2^d or 3^d rows of 2d widths.  The reflected
+    # step runs at a budget of its box alone.  Measured cold
     p = ModelParams(d, 0.5)
+    if step is _reflected_step:
+        monkeypatch.setattr(exact, "MAX_CELLS", 2**d)
     tracemalloc.start()
     try:
         cells = step(p)
@@ -295,16 +298,16 @@ def test_sweep_memory_scales_with_the_box_not_a_framed_box(d, step, size, bound)
     assert cells == size
 
 
-def _tilted_log_mgf(p, start, n, **kwargs):
-    return log_mgf(p, start, n, (0.3, -0.2), **kwargs)
+def _tilted_log_mgf(p, start, n):
+    return log_mgf(p, start, n, (0.3, -0.2))
 
 
-def _upper_check(p, start, n, **kwargs):
-    return check_domination_upper(p, n, **kwargs)
+def _upper_check(p, start, n):
+    return check_domination_upper(p, n)
 
 
-def _lower_profile(p, start, n, **kwargs):
-    return domination_profile(p, "lower", n, start=start, **kwargs)
+def _lower_profile(p, start, n):
+    return domination_profile(p, "lower", n, start=start)
 
 
 @pytest.mark.parametrize("sweep, start, cells", [
@@ -326,19 +329,59 @@ def test_budget_counts_the_full_box_before_sweeping(sweep, start, cells, monkeyp
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept a request over budget")
 
-    monkeypatch.setattr(exact, "_evolve", no_sweep)
-    with pytest.raises(ResourceBudgetError, match=rf"needs {cells} cells .* is {cells - 1}$") as cold:
-        sweep(p, start, 5, max_cells=cells - 1)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_evolve", no_sweep)
+        m.setattr(exact, "MAX_CELLS", cells - 1)
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"needs {cells} cells .* is {cells - 1}$") as cold:
+            sweep(p, start, 5)
     assert sweep(p, start, 5)
-    assert sweep(p, start, 5, max_cells=cells)
+    monkeypatch.setattr(exact, "MAX_CELLS", cells)
+    assert sweep(p, start, 5)
     monkeypatch.setattr(exact, "_evolve", no_sweep)
     if sweep is _tilted_log_mgf:
         # the kept law answers within the budget, with no sweep
-        assert sweep(p, start, 5, max_cells=cells)
+        assert sweep(p, start, 5)
+    monkeypatch.setattr(exact, "MAX_CELLS", cells - 1)
     with pytest.raises(ResourceBudgetError) as warm:
-        sweep(p, start, 5, max_cells=cells - 1)
+        sweep(p, start, 5)
     assert str(warm.value) == str(cold.value)
+
+
+@pytest.mark.parametrize("sweep, cells", [
+    (lambda p: propagate(p, (0, 0), 4), 5 * 5),
+    (lambda p: propagate_full(p, (0, 0), 4), 9 * 9),
+    (lambda p: propagate_drifted(p, (0, 0), 4), 9 * 9),
+    (lambda p: log_mgf(p, (0, 0), 4, (0.3, -0.2)), 5 * 5),
+    (lambda p: return_probability(p, 4), 5 * 5),
+    (lambda p: return_probability_profile(p, 4), 5 * 5),
+    (lambda p: domination_profile(p, "upper", 4), 9 * 9),
+    (lambda p: check_domination_upper(p, 4), 9 * 9),
+    (lambda p: check_domination_lower(p, (1, 2), 4), 9 * 9),
+    (lambda p: ldp.ldp_consistency(p, 0.5, [2, 4]), 5 * 5),
+])
+def test_every_sweep_reads_the_cell_budget_at_the_call(sweep, cells, monkeypatch):
+    # MAX_CELLS is read at each call, not bound at import: one cell short
+    # of the box, every entry point refuses; at the box, it runs
+    p = ModelParams(2, 0.5)
+    monkeypatch.setattr(exact, "MAX_CELLS", cells - 1)
+    with pytest.raises(ResourceBudgetError, match=rf"needs {cells} cells .* is {cells - 1}$"):
+        sweep(p)
+    monkeypatch.setattr(exact, "MAX_CELLS", cells)
+    sweep(p)
+
+
+def test_budgets_are_module_constants_not_keywords():
+    # every budget is a module constant read at the call, so no public
+    # function takes one; the one max_* parameter left is a horizon
+    named = {(mod.__name__, name, param)
+             for mod in (exact, ldp, simulate)
+             for name, fn in inspect.getmembers(mod, inspect.isfunction)
+             if fn.__module__ == mod.__name__ and not name.startswith("_")
+             for param in inspect.signature(fn).parameters if param.startswith("max_")}
+    assert named == {("biasedwalk.exact", "return_probability_profile", "max_horizon")}
+    assert (exact.MAX_CELLS, exact.MAX_WORK, simulate.MAX_ELEMENTS) == (
+        2_000_000, 1_100_000, 50_000_000)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -424,8 +467,9 @@ def test_oracle_budget(monkeypatch):
         message = rf"do {work} units of work \({sites} sites\), budget is 1100000$"
         with pytest.raises(ResourceBudgetError, match=message):
             enumerate_oracle(ModelParams(d, lam), (0,) * d, n)
+    monkeypatch.setattr(exact, "MAX_WORK", 1084199)
     with pytest.raises(ResourceBudgetError, match=r"do 1084200 units .* budget is 1084199$"):
-        enumerate_oracle(ModelParams(2, 0.3), (0, 0), 24, max_work=1084199)
+        enumerate_oracle(ModelParams(2, 0.3), (0, 0), 24)
     monkeypatch.undo()
     assert sum(enumerate_oracle(ModelParams(2, 0.5), (0, 0), 24).values()) == 1
     assert sum(enumerate_oracle(ModelParams(3, 0.5), (0, 0, 0), 12).values()) == 1
@@ -949,8 +993,7 @@ def test_domination_validation(capsys, monkeypatch):
         for call, message in [
             (lambda: check_domination_lower(p, (0, 1), 3), "every coordinate >= 1"),
             (lambda: domination_profile(p, "lower", 3, start=(0, 1)), "every coordinate >= 1"),
-            (lambda: exact._dominations(p, "lower", (0, 1), 1, 3, math.inf),
-             "every coordinate >= 1"),
+            (lambda: exact._dominations(p, "lower", (0, 1), 1, 3), "every coordinate >= 1"),
             (lambda: check_domination_lower(p, (1, 1), 0), "need at least one step"),
             (lambda: domination_profile(p, "upper", 2.0), "step count must be an integer"),
             (lambda: domination_profile(p, "upper", 3, start=(1, 1)), "only to the lower"),

@@ -139,6 +139,9 @@ CASES: dict[str, list[str]] = {
     "err-path-encoded-twice": _model("path-rate", 1, "0.25")
     + ["--path", "path_encoded_twice.json"],
     "err-path-string": _model("path-rate", 1, "0.25") + ["--path", "path_string.json"],
+    # a breakpoint list that decodes but is not a path names the flag and file
+    "err-path-no-phi": _model("path-rate", 1, "0.25") + ["--path", "path_no_phi.json"],
+    "err-path-empty": _model("path-rate", 1, "0.25") + ["--path", "path_empty.json"],
     "err-config-not-utf8": ["matrix-check", "--config", "not_utf8.cfg"],
     "err-out-unwritable": _model("matrix-check", 2, "0.5") + ["--out", "absent/x.json"],
     # exit 1: range errors, whose wording is not pinned (UNPINNED_MESSAGES)

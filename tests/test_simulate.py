@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasedwalk import ModelParams, ResourceBudgetError, reflected_kernel
+from biasedwalk import ModelParams, ResourceBudgetError, reflected_kernel, simulate
 from biasedwalk.exact import propagate
 from biasedwalk.kernel import _moves
 from biasedwalk.simulate import (
@@ -340,7 +340,26 @@ def test_trajectories_consistent_with_batch_and_single_path():
     assert kern_moves == {(1, 1)}
 
 
-def test_trajectories_history_budget():
+def test_trajectories_history_budget(monkeypatch):
     plan = SimPlan(ModelParams(2, 0.5), (0, 0), 100, 10, seed=0)
+    monkeypatch.setattr(simulate, "MAX_ELEMENTS", 1000)
     with pytest.raises(ResourceBudgetError):
-        trajectories(plan, max_elements=1000)
+        trajectories(plan)
+
+
+@pytest.mark.parametrize("run, paths, elements", [
+    (simulate_batch, 10, 10 * 2),
+    (martingale_diagnostic, 10, 10 * 2),
+    (boundary_visits, 10, 10 * 2),
+    (trajectories, 10, 6 * 10 * 2),
+    (trajectory, 1, 6 * 1 * 2),
+])
+def test_every_run_reads_the_element_budget_at_the_call(run, paths, elements, monkeypatch):
+    # MAX_ELEMENTS is read at each call: one element short of the state
+    # block (of the history, when the path is kept) refuses, and it runs
+    plan = SimPlan(ModelParams(2, 0.5), (0, 0), 5, paths, seed=1)
+    monkeypatch.setattr(simulate, "MAX_ELEMENTS", elements - 1)
+    with pytest.raises(ResourceBudgetError, match=rf"needs {elements} .*budget is {elements - 1}$"):
+        run(plan)
+    monkeypatch.setattr(simulate, "MAX_ELEMENTS", elements)
+    run(plan)
