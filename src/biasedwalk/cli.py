@@ -338,9 +338,9 @@ def _run_speed(cfg: dict):
 def _run_clt(cfg: dict):
     p, plan = _origin_batch(cfg)
     sigma = ldp.sigma_matrix(p)
-    # at d = 1 it is 1 - v^2, which is 0 at lam = 0 and rounds to 0 below about 1e-17
-    if not sigma.any():
-        raise CliError(f"clt: --lambda {p.lam!r} gives a zero limiting covariance at "
+    # at d = 1 it is 4 lam/(1+lam)^2, whose norm is 0 at lam = 0 and underflows below about 4e-163
+    if not np.linalg.norm(sigma):
+        raise CliError(f"clt: --lambda {p.lam!r} gives a limiting covariance of norm 0 at "
                        "--dim 1, so there is no relative error to report")
     batch = simulate.simulate_batch(plan)
     rel = float(np.linalg.norm(batch.cov_scaled - sigma) / np.linalg.norm(sigma))
@@ -522,7 +522,7 @@ def _run_path_rate(cfg: dict):
     except (OSError, ValueError, RecursionError) as err:
         # ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
         raise CliError(f"--path: cannot read {cfg['path']!r}: {err}") from None
-    # checked here: path_from_json would decode a JSON string a second time
+    # checked here to say what the file holds; path_from_json would report missing keys
     if not isinstance(breakpoints, list):
         raise CliError(f"--path: {cfg['path']!r} must hold a JSON array of breakpoints")
     try:

@@ -55,7 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .kernel import ModelParams, State, _check_site, _integer, _moves, kappa
+from .kernel import ModelParams, State, _check_site, _finite_rows, _integer, _moves, kappa
 
 SparseDistribution = dict[State, float]
 
@@ -189,27 +189,6 @@ def _site_order(values, sites) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     offsets = [c - c.min(initial=np.iinfo(np.int64).max) for c in sites]
     order = np.argsort(np.ravel_multi_index(offsets, [int(c.max(initial=0)) + 1 for c in offsets]))
     return values[keep][order], tuple(c[order] for c in sites)
-
-
-def _finite_vector(name: str, v, dim: int) -> np.ndarray:
-    """v as a float array of shape (dim,), a scalar taken as one coordinate;
-    ValueError naming it unless it has dim coordinates, all finite."""
-    return _finite_rows(name, [v], dim)[0]
-
-
-def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
-    """rows as a new float array of shape (k, dim), each scalar row taken
-    as one coordinate; ValueError naming it unless every row has dim
-    coordinates, all finite."""
-    v = np.array(rows, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[1:] != (dim,):
-        raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape[1:]}")
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{name} must be finite, got {v[~finite][0].tolist()}")
-    return v
 
 
 def _box(
@@ -395,7 +374,7 @@ def log_mgf(p: ModelParams, start: State, n: int, s) -> float:
     large positive s at large n cannot overflow.  The law of the last few
     (p, start, n) is kept, so further tilts at them cost no sweep.
     """
-    s = _finite_vector("s", s, p.dim)
+    s = _finite_rows("s", [s], p.dim)[0]
     # checked before the lookup, so a kept law never escapes a smaller budget
     _box(p, "reflected", start, n, MAX_CELLS)
     logs, sites = _log_law(p, tuple(int(c) for c in start), int(n))
@@ -422,7 +401,8 @@ def return_probability(p: ModelParams, horizon: int) -> float:
     The walk has period two, so only even horizons are meaningful; odd ones
     raise ValueError.
     """
-    if horizon < 0 or horizon % 2:
+    # _sweep rejects a horizon that is not an integer
+    if _integer(horizon) and (horizon < 0 or horizon % 2):
         raise ValueError(f"horizon must be even and nonnegative, got {horizon}")
     *_, (values, _) = _sweep(p, "reflected", (0,) * p.dim, horizon)
     # a reading starts with the start's value
@@ -515,7 +495,7 @@ def _dominations(
         raise ValueError("start applies only to the lower bound")
     if start is None:
         start = (0 if mode == "upper" else 1,) * p.dim
-    if mode == "lower" and any(c < 1 for c in start):
+    if mode == "lower" and any(c < 1 for c in _check_site(p, start, orthant=False, name="start")):
         raise ValueError(f"start must have every coordinate >= 1, got {start}")
     if mode == "lower" and first < 1:
         raise ValueError(f"need at least one step, got n={first}")

@@ -53,10 +53,12 @@ class ModelParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+        if not _integer(self.dim) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if not 0.0 <= self.lam < 1.0:
+        if not _real(self.lam) or not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam!r}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def s0(self) -> float:
@@ -80,6 +82,12 @@ def _integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _real(x) -> bool:
+    """Whether x is a real number, a numpy one included, and not a bool or a
+    string: with _integer, the package's one rule for numeric input."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_site(
     p: ModelParams, v, *, orthant: bool, name: str = "site", reach: int = 0
 ) -> State:
@@ -95,6 +103,30 @@ def _check_site(
     v = tuple(int(c) for c in v)
     if any(abs(c) + reach >= 2**63 for c in v):
         raise ValueError(f"{name} must stay in the int64 range for {reach} steps, got {v}")
+    return v
+
+
+def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
+    """rows as a new float array of shape (k, dim), each scalar row taken
+    as one coordinate; ValueError naming it unless every row has dim
+    coordinates, all real numbers (see _real) that are finite doubles.  A
+    float or integer array is taken whole, with no check per entry; one
+    vector v is _finite_rows(name, [v], dim)[0]."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "fiu"):
+        rows = np.array(rows, dtype=object)
+        for x in rows.flat:
+            if not _real(x):
+                raise ValueError(f"{name} entries must be real numbers, got {x!r}")
+    try:
+        v = np.array(rows, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} entries must lie within double range") from None
+    v = v[:, None] if v.ndim == 1 else v
+    if v.shape[1:] != (dim,):
+        raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape[1:]}")
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {v[~finite][0].tolist()}")
     return v
 
 

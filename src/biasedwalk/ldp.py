@@ -48,16 +48,14 @@ its slopes.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact
 from .errors import ConvergenceError
-from .kernel import ModelParams
+from .kernel import ModelParams, _finite_rows, _integer, _real
 
 # Newton steps allowed on the scalar root of the conjugate.
 MAX_ITERATIONS = 100
@@ -70,7 +68,7 @@ SIMPLEX_TOL = 1e-12
 
 def log_psi(p: ModelParams, s) -> float:
     """ln psi(s), evaluated in log space so large tilts cannot overflow."""
-    return float(_log_psi_rows(p, exact._finite_vector("s", s, p.dim)))
+    return float(_log_psi_rows(p, _finite_rows("s", [s], p.dim)[0]))
 
 
 def _log_psi_rows(p: ModelParams, s: np.ndarray) -> np.ndarray:
@@ -117,10 +115,12 @@ def psi(p: ModelParams, s) -> float:
 
 
 def sigma_matrix(p: ModelParams) -> np.ndarray:
-    """Limiting covariance Sigma of (|X_n| - n*v)/sqrt(n): (1/d) on the
-    diagonal minus the rank-one correction v_1^2 everywhere."""
+    """Limiting covariance Sigma of (|X_n| - n*v)/sqrt(n): -v_1^2 off the
+    diagonal and 1/d - v_1^2 on it, formed as (d-1)/d^2 + 4 lam/(d(1+lam))^2
+    so that it does not cancel at small lam."""
     d, c = p.dim, float(p.speed[0])
-    return np.eye(d) / d - c * c * np.ones((d, d))
+    diagonal = (d - 1) / d**2 + 4 * p.lam / (d * (1 + p.lam)) ** 2
+    return np.where(np.eye(d, dtype=bool), diagonal, -c * c)
 
 
 def scaling_matrix(p: ModelParams) -> np.ndarray:
@@ -181,18 +181,14 @@ def _dual_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 0 <= x and sum(x) < 1.  f is convex and increasing with f(1) >= 0, so
     # Newton steps from u = 1 decrease monotonically onto the root; a row
     # stops at its first step that no longer decreases u, the rounding floor.
-    u, steps = np.empty(len(x)), np.empty(len(x), dtype=int)
-    live, cur = np.arange(len(x)), np.ones(len(x))
-    for used in range(MAX_ITERATIONS + 1):
-        r = np.hypot(x, cur[:, None])
-        nxt = cur - (r.sum(1) - 1.0) / (cur * (1.0 / r).sum(1))
-        going = nxt < cur
-        if not going.all():
-            u[live[~going]], steps[live[~going]] = cur[~going], used
-            if not going.any():
-                return u, steps
-            live, x, nxt = live[going], x[going], nxt[going]
-        cur = nxt
+    u, steps = np.ones(len(x)), np.zeros(len(x), dtype=int)
+    for _ in range(MAX_ITERATIONS + 1):
+        r = np.hypot(x, u[:, None])
+        nxt = u - (r.sum(1) - 1.0) / (u * (1.0 / r).sum(1))
+        going = nxt < u
+        if not going.any():
+            return u, steps
+        u, steps = np.where(going, nxt, u), steps + going
     raise ConvergenceError(
         f"Newton on the dual root did not settle within {MAX_ITERATIONS} steps"
     )
@@ -216,7 +212,7 @@ def rate_functions(p: ModelParams, points) -> list[RateResult]:
     """
     if p.dim == 1 and p.lam == 0.0:
         raise ValueError("rate function undefined for dim=1, lam=0")
-    x = exact._finite_rows("x", points, p.dim)
+    x = _finite_rows("x", points, p.dim)
     x[np.abs(x) <= SIMPLEX_TOL] = 0.0
     classes = _classify(p, x)
     k, d = x.shape
@@ -230,9 +226,7 @@ def rate_functions(p: ModelParams, points) -> list[RateResult]:
         # on the simplex.  With every x_i > 0 the tilt s_i = ln(d * x_i) is
         # a finite maximizer; a zero coordinate pushes its tilt to -infinity.
         found = face & (x > 0.0).all(axis=1)
-        if face.any():
-            xf = x[face]
-            value[face] = math.log(d) + _xlogy(xf, np.where(xf > 0.0, xf, 1.0)).sum(axis=1)
+        value[face] = math.log(d) + _xlogy(x[face], x[face]).sum(axis=1)
         if found.any():
             xf = x[found]
             s = s_star[found] = np.log(d * xf)
@@ -282,13 +276,13 @@ def rate_closed_form(p: ModelParams, x) -> float:
     expression is evaluated on the open region sum(x) < 1 where its
     radical is positive.
     """
-    x = exact._finite_vector("x", x, p.dim)
+    x = _finite_rows("x", [x], p.dim)[0]
     if p.lam == 0.0:
         if p.dim < 2:
             raise ValueError("no closed form for dim=1, lam=0")
         if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError("lam=0 closed form needs x on the probability simplex")
-        return math.log(p.dim) + float(np.sum(_xlogy(x, np.where(x > 0.0, x, 1.0))))
+        return math.log(p.dim) + float(np.sum(_xlogy(x, x)))
     if p.dim == 1:
         v = float(x[0])
         if not 0.0 <= v <= 1.0:
@@ -332,24 +326,23 @@ class PiecewiseLinearPath:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        values = tuple(tuple(float(c) for c in row) for row in self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if len(times) < 2 or len(times) != len(values):
+        if len(self.times) < 2 or len(self.times) != len(self.values):
             raise ValueError("need matching times and values with at least 2 rows")
-        if times[0] != 0.0 or times[-1] != 1.0:
-            raise ValueError("breakpoints must run from t=0 to t=1")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        dims = {len(row) for row in values}
+        dims = {len(row) for row in self.values}
         if len(dims) != 1:
             raise ValueError("all values must share one dimension")
-        if any(c != 0.0 for c in values[0]):
+        # named by the keys of path_from_json
+        times = _finite_rows("'t'", self.times, 1)[:, 0]
+        values = _finite_rows("'phi'", self.values, dims.pop())
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "values", tuple(map(tuple, values.tolist())))
+        if times[0] != 0.0 or times[-1] != 1.0:
+            raise ValueError("breakpoints must run from t=0 to t=1")
+        if (np.diff(times) <= 0.0).any():
+            raise ValueError("breakpoints must be strictly increasing")
+        if (values[0] != 0.0).any():
             raise ValueError("paths must start at the origin")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ValueError("breakpoints must be finite")
-        if any(c < 0.0 for row in values for c in row):
+        if (values < 0.0).any():
             raise ValueError("path values must be nonnegative")
 
     @property
@@ -365,12 +358,11 @@ class PiecewiseLinearPath:
             return np.diff(vals, axis=0) / self.durations()[:, None]
 
 
-def path_from_json(source) -> PiecewiseLinearPath:
-    """Build a path from a JSON array of {"t": ..., "phi": [...]} rows (or
-    from the already-parsed list of dicts).  Each t, and each entry of
-    each phi list, must be a JSON number within double range: a string, a
-    boolean or a larger integer raises ValueError naming its key."""
-    rows = json.loads(source) if isinstance(source, (str, bytes)) else source
+def path_from_json(rows) -> PiecewiseLinearPath:
+    """Build a path from parsed JSON, a list of {"t": ..., "phi": [...]}
+    rows.  Each t, and each entry of each phi list, must be a number within
+    double range: a string, a boolean or a larger integer raises ValueError
+    naming its key (see PiecewiseLinearPath)."""
     try:
         times = tuple(row["t"] for row in rows)
         values = tuple(row["phi"] for row in rows)
@@ -379,14 +371,7 @@ def path_from_json(source) -> PiecewiseLinearPath:
     for phi in values:
         if not isinstance(phi, list):
             raise ValueError(f"'phi' must be a list of numbers, got {phi!r}")
-    for key, entries in (("t", times), ("phi", [c for phi in values for c in phi])):
-        for x in entries:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"'{key}' entries must be JSON numbers, got {x!r}")
-            if isinstance(x, int) and abs(x) > sys.float_info.max:
-                raise ValueError(f"'{key}' entries must lie within double range, "
-                                 f"got an integer of {len(str(abs(x)))} digits")
-    return PiecewiseLinearPath(times=times, values=tuple(map(tuple, values)))
+    return PiecewiseLinearPath(times=times, values=values)
 
 
 def path_rate_functional(p: ModelParams, path: PiecewiseLinearPath) -> float:
@@ -458,10 +443,10 @@ def ldp_consistency(p: ModelParams, a: float, n_values) -> list[ConsistencyRow]:
     so that thresholds that are exact integers in real arithmetic are not
     pushed up by float noise.
     """
-    if not 0.0 <= a <= 1.0:
+    if not _real(a) or not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold a must lie in [0, 1], got {a!r}")
     n_values = list(n_values)
-    if not all(exact._integer(n) for n in n_values):
+    if not all(_integer(n) for n in n_values):
         raise ValueError(f"horizons must be integers, got {n_values}")
     horizons = sorted(int(n) for n in n_values)
     if horizons and horizons[0] < 1:

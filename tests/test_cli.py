@@ -65,16 +65,30 @@ def test_rate_fn_rejects_deterministic_one_dim(capsys):
     assert "--lambda" in err
 
 
-@pytest.mark.parametrize("lam", ["0", "5e-324", "1e-17"])
+@pytest.mark.parametrize("lam", ["0", "5e-324", "1e-300"])
 def test_clt_rejects_a_zero_limiting_covariance(capsys, lam):
-    # at d = 1 the limiting covariance 1 - v^2 is 0 at lambda 0 and rounds
-    # to 0 for a tiny lambda, so a relative error would be 0/0: before,
-    # the run exited 0 with frobenius_rel_error "nan"
+    # at d = 1 the limiting covariance 4 lam/(1+lam)^2 is 0 at lambda 0, and
+    # its norm underflows to 0 below about 4e-163, so a relative error would
+    # be 0/0: before, the run exited 0 with frobenius_rel_error "nan"
     code, out, err = run_cli(
         ["clt", "--dim", "1", "--lambda", lam, "--steps", "5", "--paths", "3"], capsys
     )
     assert code == 1 and out == ""
     assert err.startswith("error: clt: --lambda ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam", ["1e-17", "1e-20", "1e-160"])
+def test_clt_runs_at_a_tiny_lambda(capsys, lam):
+    # the limiting covariance no longer cancels to 0 below about 1e-17; the
+    # walk never steps inward here, so the observed covariance is 0 and the
+    # relative error is exactly 1
+    code, out, err = run_cli(
+        ["clt", "--dim", "1", "--lambda", lam, "--steps", "5", "--paths", "3"], capsys
+    )
+    assert code == 0, err
+    body = json.loads(out)
+    assert body["sigma"][0][0] == 4 * float(lam)
+    assert body["frobenius_rel_error"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +370,14 @@ def test_malformed_config_line_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["matrix-check", "--config", str(cfg)], capsys)
     assert code == 1
     assert "key=value" in err
+
+
+def test_config_bool_that_is_not_a_bool_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=2\nlambda=0.5\nsteps=5\npaths=2\ndump-trajectories=maybe\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --dump-trajectories expects true or false, got 'maybe'\n"
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

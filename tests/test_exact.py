@@ -398,6 +398,8 @@ def test_budgets_are_module_constants_not_keywords():
     (lambda p: ballot_counts(4.0, 0, 2), "n, alpha and beta must be integers"),
     (lambda p: ballot_counts(4, 0.5, 2), "n, alpha and beta must be integers"),
     (lambda p: ballot_counts(4, 0, np.float64(2)), "n, alpha and beta must be integers"),
+    (lambda p: propagate(p, (0, 0), -1), "step count must be nonnegative, got -1"),
+    (lambda p: ballot_counts(0, 0, 0), "need at least one step, got n=0"),
 ])
 def test_exact_rejects_non_integer_steps_and_starts(call, message):
     # 3.0 hashes like 3, so a law kept for n = 3 must not answer n = 3.0

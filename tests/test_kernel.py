@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from biasedwalk import (
     ModelParams,
+    exact,
+    ldp,
     drift,
     drifted_kernel,
     full_kernel,
@@ -199,6 +201,48 @@ def test_validation_errors():
         with pytest.raises(ValueError, match=f"^site .*{message}"):
             call(p, site)
     assert full_kernel(p, (np.int64(2**63 - 1), 0))[(2**63, 0)] == 1 / 3.5
+
+
+P2 = ModelParams(2, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ldp.rate_function(P2, ["0.3", "0.2"]), "x entries must be real numbers"),
+    (lambda: ldp.rate_function(P2, [True, 0.0]), "x entries must be real numbers"),
+    (lambda: ldp.rate_functions(P2, [["0.2", "0.1"]]), "x entries must be real numbers"),
+    (lambda: ldp.rate_functions(P2, np.array([[True, False]])), "x entries must be real"),
+    (lambda: ldp.rate_function(P2, [10**400, 0]), "x entries must lie within double range"),
+    (lambda: exact.log_mgf(P2, (0, 0), 4, (True, 0.0)), "s entries must be real numbers"),
+    (lambda: ldp.log_psi(P2, ["1", "0"]), "s entries must be real numbers"),
+    (lambda: ldp.rate_closed_form(P2, [np.bool_(True), 0.1]), "x entries must be real"),
+    (lambda: ldp.PiecewiseLinearPath(("0", 1), ((0,), (0.5,))), "'t' entries must be real"),
+    (lambda: ldp.PiecewiseLinearPath((0, True), ((0,), (0.5,))), "'t' entries must be real"),
+    (lambda: ldp.PiecewiseLinearPath((0, 1), ((0,), ("0.5",))), "'phi' entries must be real"),
+    (lambda: ModelParams(2, False), "lam must lie in"),
+    (lambda: ModelParams(2, "0.5"), "lam must lie in"),
+    (lambda: ModelParams(2.0, 0.5), "dim must be a positive integer"),
+    (lambda: ldp.ldp_consistency(P2, True, [10]), "threshold a must lie in"),
+    (lambda: ldp.ldp_consistency(P2, "0.5", [4]), "threshold a must lie in"),
+    (lambda: exact.return_probability(P2, "4"), "step count must be an integer"),
+    (lambda: exact.check_domination_lower(P2, ("a", "b"), 3), "start must have integer"),
+], ids=["rate-str", "rate-bool", "rates-str", "rates-bool-array", "rate-huge-int", "mgf-bool",
+        "psi-str", "closed-form-numpy-bool", "path-t-str", "path-t-bool", "path-phi-str",
+        "lam-bool", "lam-str", "dim-float", "consistency-a-bool", "consistency-a-str",
+        "return-prob-str", "lower-start-str"])
+def test_numbers_are_real_numbers_not_strings_or_bools(call, message):
+    # each was read as a number, or failed with a TypeError, before the
+    # rule moved into kernel
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_scalars_are_numbers():
+    p = ModelParams(np.int64(2), np.float64(0.5))
+    assert p == P2 and hash(p) == hash(P2)
+    assert type(p.dim) is int and type(p.lam) is float
+    x = [np.float32(0.25), np.int64(0)]
+    assert ldp.rate_function(p, x) == ldp.rate_function(p, [0.25, 0.0])
+    assert exact.log_mgf(p, (0, 0), 4, x) == exact.log_mgf(p, (0, 0), 4, (0.25, 0.0))
 
 
 # ---------------------------------------------------------------------------

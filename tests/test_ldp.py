@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
-from biasedwalk import cli, exact, ldp
+from biasedwalk import cli, ldp
 from biasedwalk.errors import ConvergenceError
-from biasedwalk.kernel import ModelParams
+from biasedwalk.kernel import ModelParams, _finite_rows
 
 P1 = ModelParams(1, 0.25)
 
@@ -249,6 +249,19 @@ def test_scaling_identity_sweep():
         for k in range(10)
     )
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-16, 2e-17, 1e-300, 5e-324, 0.3, 0.9])
+def test_sigma_matrix_does_not_cancel_at_small_lam(lam):
+    # at d = 1 Sigma is 4 lam/(1+lam)^2; formed as 1 - v^2 it read 2.2e-16
+    # at lam = 1e-16 and 0 below about 1e-17
+    exact_value = 4 * lam / (1 + lam) ** 2
+    value = ldp.sigma_matrix(ModelParams(1, lam))[0, 0]
+    assert value == pytest.approx(exact_value, rel=4e-16)
+    # the off-diagonal entries stay -v_1^2, and only lam = 0 gives a zero Sigma
+    sigma = ldp.sigma_matrix(ModelParams(3, lam))
+    assert sigma[0, 1] == -float(ModelParams(3, lam).speed[0]) ** 2
+    assert ldp.sigma_matrix(ModelParams(1, 0.0)).tolist() == [[0.0]]
 
 
 def test_sigma_singular_exactly_at_lam_zero():
@@ -629,13 +642,13 @@ def test_path_validation():
 
 def test_path_json_round_trip():
     js = '[{"t": 0, "phi": [0, 0]}, {"t": 0.5, "phi": [0.2, 0.1]}, {"t": 1, "phi": [0.3, 0.3]}]'
-    path = ldp.path_from_json(js)
+    path = ldp.path_from_json(json.loads(js))
     assert path.dim == 2
     assert path.times == (0.0, 0.5, 1.0)
     parsed = ldp.path_from_json([{"t": 0, "phi": [0]}, {"t": 1, "phi": [0.5]}])
     assert parsed.values == ((0.0,), (0.5,))
     with pytest.raises(ValueError):
-        ldp.path_from_json('[{"t": 0}, {"t": 1}]')
+        ldp.path_from_json(json.loads('[{"t": 0}, {"t": 1}]'))
 
 
 @pytest.mark.parametrize("text, key", [
@@ -657,7 +670,7 @@ def test_path_json_takes_only_numbers(text, key):
     # a string or a boolean is not read as a number, nor a string as a
     # list of digits
     with pytest.raises(ValueError, match=key):
-        ldp.path_from_json(text)
+        ldp.path_from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +842,7 @@ def _solve_newton(
 def _reference_rate(p: ModelParams, x) -> float:
     """The rate as the earlier solver computed it; raises ConvergenceError
     where that solver fails."""
-    x = exact._finite_vector("x", x, p.dim).copy()
+    x = _finite_rows("x", [x], p.dim)[0]
     x[np.abs(x) <= ldp.SIMPLEX_TOL] = 0.0
     domain_class = ldp._classify(p, x)
     if domain_class == "outside":

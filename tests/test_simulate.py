@@ -347,6 +347,20 @@ def test_trajectories_history_budget(monkeypatch):
         trajectories(plan)
 
 
+def test_dimension_beyond_the_table_is_refused_before_it_is_built(monkeypatch):
+    # the zero-pattern table has 2^d rows, so d = 17 is refused before it
+    plan = SimPlan(ModelParams(17, 0.5), (0,) * 17, 1, 1)
+    monkeypatch.setattr(simulate, "_Walk", lambda *args: pytest.fail("built the table"))
+    with pytest.raises(ResourceBudgetError, match=r"^simulation supports dim <= 16, got 17$"):
+        simulate_batch(plan)
+
+
+def test_martingale_diagnostic_needs_a_step():
+    plan = SimPlan(ModelParams(2, 0.5), (0, 0), 0, 3)
+    with pytest.raises(ValueError, match="martingale statistics need steps >= 1"):
+        martingale_diagnostic(plan)
+
+
 @pytest.mark.parametrize("run, paths, elements", [
     (simulate_batch, 10, 10 * 2),
     (martingale_diagnostic, 10, 10 * 2),
