@@ -497,7 +497,7 @@ def _dominations(
         start = (0 if mode == "upper" else 1,) * p.dim
     if mode == "lower" and any(c < 1 for c in _check_site(p, start, orthant=False, name="start")):
         raise ValueError(f"start must have every coordinate >= 1, got {start}")
-    if mode == "lower" and first < 1:
+    if mode == "lower" and _integer(first) and first < 1:
         raise ValueError(f"need at least one step, got n={first}")
     signed = _sweep(p, "signed", start, n)
     drifted = _sweep(p, "drifted", start, n)

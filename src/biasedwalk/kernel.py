@@ -94,8 +94,8 @@ def _check_site(
     """v as a tuple of ints, once it is checked to have d integer
     coordinates, none negative on the orthant, that stay in the int64 range
     for reach steps; else ValueError naming it."""
-    if len(v) != p.dim:
-        raise ValueError(f"{name} has {len(v)} coordinates, expected {p.dim}")
+    if not hasattr(v, "__len__") or len(v) != p.dim:
+        raise ValueError(f"{name} must have {p.dim} coordinates, got {v!r}")
     if not all(_integer(c) for c in v):
         raise ValueError(f"{name} must have integer coordinates, got {v}")
     if orthant and any(c < 0 for c in v):

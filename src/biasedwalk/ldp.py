@@ -328,9 +328,9 @@ class PiecewiseLinearPath:
     def __post_init__(self) -> None:
         if len(self.times) < 2 or len(self.times) != len(self.values):
             raise ValueError("need matching times and values with at least 2 rows")
-        dims = {len(row) for row in self.values}
-        if len(dims) != 1:
-            raise ValueError("all values must share one dimension")
+        dims = {len(row) if hasattr(row, "__len__") else None for row in self.values}
+        if len(dims) != 1 or None in dims:
+            raise ValueError("'phi' rows must be sequences of one length")
         # named by the keys of path_from_json
         times = _finite_rows("'t'", self.times, 1)[:, 0]
         values = _finite_rows("'phi'", self.values, dims.pop())
@@ -445,9 +445,9 @@ def ldp_consistency(p: ModelParams, a: float, n_values) -> list[ConsistencyRow]:
     """
     if not _real(a) or not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold a must lie in [0, 1], got {a!r}")
-    n_values = list(n_values)
-    if not all(_integer(n) for n in n_values):
-        raise ValueError(f"horizons must be integers, got {n_values}")
+    n_values = list(n_values) if np.iterable(n_values) else n_values
+    if not (isinstance(n_values, list) and all(_integer(n) for n in n_values)):
+        raise ValueError(f"horizons must be integers, got {n_values!r}")
     horizons = sorted(int(n) for n in n_values)
     if horizons and horizons[0] < 1:
         raise ValueError("horizons must be positive")

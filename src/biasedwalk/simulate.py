@@ -57,12 +57,10 @@ MAX_ELEMENTS = 50_000_000
 # Steps per block.  A path whose smallest coordinate is at least the block
 # length cannot reach a coordinate hyperplane before the block's last step.
 _BLOCK = 12
-# Paths advanced together.  Far from the hyperplanes a (_BLOCK, rows)
-# temporary then holds about 16K elements and stays in cache; near them
-# each step costs a few dozen numpy calls, which a wider chunk amortises.
-_FAR_ROWS = 16384 // _BLOCK
-_NEAR_ROWS = 4096
-_PAD = 64
+# Elements in a chunk's temporaries.  A far chunk's are (_BLOCK, rows), so
+# it takes _CHUNK // _BLOCK rows; a near chunk's are (rows,) per step, so it
+# takes _CHUNK rows, which amortises the few dozen numpy calls of each step.
+_CHUNK = 16384
 # The move table has a row per zero pattern, 2**dim of them.
 _MAX_DIM = 16
 
@@ -295,35 +293,29 @@ def _chunks(rows: np.ndarray, size: int):
         yield rows[lo : lo + size]
 
 
-def _run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
+def _run(plan: SimPlan, *, keep_path: bool) -> _RawBatch:
     p = plan.params
     d, n, m = p.dim, plan.steps, plan.paths
-    if m * d > max_elements:
+    if m * d > MAX_ELEMENTS:
         raise ResourceBudgetError(
-            f"batch needs {m * d} state elements, budget is {max_elements}"
+            f"batch needs {m * d} state elements, budget is {MAX_ELEMENTS}"
         )
-    if keep_path and (n + 1) * m * d > max_elements:
+    if keep_path and (n + 1) * m * d > MAX_ELEMENTS:
         raise ResourceBudgetError(
-            f"history needs {(n + 1) * m * d} elements, budget is {max_elements}"
+            f"history needs {(n + 1) * m * d} elements, budget is {MAX_ELEMENTS}"
         )
     if d > _MAX_DIM:
         raise ResourceBudgetError(f"simulation supports dim <= {_MAX_DIM}, got {d}")
     walk = _Walk(plan, keep_path)
     # Rows per chunk within the budget: the largest array a block makes,
     # the far rows' per-step moves, holds _BLOCK * d elements per row.
-    cap = max(1, max_elements // (_BLOCK * d))
+    cap = max(1, MAX_ELEMENTS // (_BLOCK * d))
     for t0 in range(0, n, _BLOCK):
         k = min(_BLOCK, n - t0)
         far = walk.Y.min(axis=0) >= k
-        # Far rows may also take the step-by-step path.  Lending it enough
-        # of them to make its row count a multiple of _PAD keeps its
-        # temporaries to a few sizes, which the allocator reuses instead of
-        # growing the heap as the count of near rows drifts.
-        lend = -np.count_nonzero(~far) % _PAD
-        far[np.flatnonzero(far)[:lend]] = False
-        for rows in _chunks(np.flatnonzero(far), min(_FAR_ROWS, cap)):
+        for rows in _chunks(np.flatnonzero(far), min(_CHUNK // _BLOCK, cap)):
             walk.far_block(rows, t0, k)
-        for rows in _chunks(np.flatnonzero(~far), min(_NEAR_ROWS, cap)):
+        for rows in _chunks(np.flatnonzero(~far), min(_CHUNK, cap)):
             walk.near_block(rows, t0, k)
     xi_sum, xi_sumsq = walk.martingale_sums()
     return _RawBatch(
@@ -345,7 +337,7 @@ def simulate_batch(plan: SimPlan) -> BatchSummary:
     p = plan.params
     if plan.steps < 1:
         raise ValueError("batch statistics need steps >= 1")
-    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
+    raw = _run(plan, keep_path=False)
     n, m = plan.steps, plan.paths
     mean_endpoint = (raw.endpoints / n).mean(axis=0)
     centred = (raw.endpoints - n * p.speed) / np.sqrt(n)    # (m, d)
@@ -376,7 +368,7 @@ def trajectories(plan: SimPlan) -> np.ndarray:
 
     Row j is exactly the trajectory that path index j follows in any batch
     sharing this plan's seed, so the array is reproducible path by path."""
-    raw = _run(plan, keep_path=True, max_elements=MAX_ELEMENTS)
+    raw = _run(plan, keep_path=True)
     assert raw.states is not None
     return np.swapaxes(raw.states, 0, 1)
 
@@ -390,7 +382,7 @@ def martingale_diagnostic(plan: SimPlan) -> MartingaleDiagnostic:
     of the diffusive covariance for long runs."""
     if plan.steps < 1:
         raise ValueError("martingale statistics need steps >= 1")
-    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
+    raw = _run(plan, keep_path=False)
     count = plan.steps * plan.paths
     mean = raw.xi_sum / count
     variance = raw.xi_sumsq / count - mean**2
@@ -404,5 +396,5 @@ def boundary_visits(plan: SimPlan) -> dict[int, int]:
     For lam < 1 the chain leaves the coordinate hyperplanes for good after
     an almost-surely finite number of visits, so the histogram stabilises
     as n grows."""
-    raw = _run(plan, keep_path=False, max_elements=MAX_ELEMENTS)
+    raw = _run(plan, keep_path=False)
     return dict(sorted(Counter(raw.visits.tolist()).items()))

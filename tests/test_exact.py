@@ -997,6 +997,7 @@ def test_domination_validation(capsys, monkeypatch):
             (lambda: domination_profile(p, "lower", 3, start=(0, 1)), "every coordinate >= 1"),
             (lambda: exact._dominations(p, "lower", (0, 1), 1, 3), "every coordinate >= 1"),
             (lambda: check_domination_lower(p, (1, 1), 0), "need at least one step"),
+            (lambda: check_domination_lower(p, (1, 1), "3"), "step count must be an integer"),
             (lambda: domination_profile(p, "upper", 2.0), "step count must be an integer"),
             (lambda: domination_profile(p, "upper", 3, start=(1, 1)), "only to the lower"),
             (lambda: domination_profile(p, "sideways", 3), "mode must be"),

@@ -20,6 +20,7 @@ from biasedwalk import (
     full_kernel,
     kappa,
     reflected_kernel,
+    simulate,
 )
 from biasedwalk.exact import enumerate_oracle, fold_to_orthant
 from biasedwalk.kernel import _moves
@@ -243,6 +244,22 @@ def test_numpy_scalars_are_numbers():
     x = [np.float32(0.25), np.int64(0)]
     assert ldp.rate_function(p, x) == ldp.rate_function(p, [0.25, 0.0])
     assert exact.log_mgf(p, (0, 0), 4, x) == exact.log_mgf(p, (0, 0), 4, (0.25, 0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact.propagate(P2, 5, 3), "^start must have 2 coordinates, got 5$"),
+    (lambda: simulate.SimPlan(P2, 0, 3, 3), "^start must have 2 coordinates, got 0$"),
+    (lambda: full_kernel(P2, 7), "^site must have 2 coordinates, got 7$"),
+    (lambda: exact.log_mgf(P2, 0, 3, (0.0, 0.0)), "^start must have 2 coordinates, got 0$"),
+    (lambda: exact.check_domination_lower(P2, 1, 3), "^start must have 2 coordinates, got 1$"),
+    (lambda: ldp.PiecewiseLinearPath((0, 1), (0, 0.5)), "^'phi' rows must be sequences"),
+    (lambda: ldp.ldp_consistency(P2, 0.5, 10), "^horizons must be integers, got 10$"),
+], ids=["propagate", "sim-plan", "full-kernel", "log-mgf", "lower-start", "path-phi",
+        "consistency-horizons"])
+def test_a_scalar_where_a_sequence_belongs_is_refused_by_name(call, message):
+    # each raised a TypeError from len() or list() before it was checked
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

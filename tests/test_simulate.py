@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from biasedwalk.simulate import (
     trajectories,
     trajectory,
     _BLOCK,
+    _CHUNK,
     _RawBatch,
     _path_states,
     _row,
@@ -108,9 +110,12 @@ def _plans(draw):
 @given(plan=_plans(), tight=st.booleans())
 def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
     # A tight budget splits the paths into many chunks per block.
+    # Hypothesis runs every example in one call of the test, so the budget
+    # is patched per example rather than with monkeypatch.
     d, n, m = plan.params.dim, plan.steps, plan.paths
     budget = (n + 1) * m * d if keep_path else m * d
-    fast = _run(plan, keep_path=keep_path, max_elements=budget if tight else 10**8)
+    with mock.patch.object(simulate, "MAX_ELEMENTS", budget if tight else 10**8):
+        fast = _run(plan, keep_path=keep_path)
     ref = _reference_run(plan, keep_path=keep_path, max_elements=10**8)
     assert np.array_equal(fast.endpoints, ref.endpoints)
     assert np.array_equal(fast.visits, ref.visits)
@@ -270,7 +275,7 @@ def test_endpoint_distribution_matches_exact_law():
     ends = Counter()
     # endpoints via the public API: batch of one-path trajectories would be
     # slow, so read the endpoint statistics through boundary-free summary
-    raw = _run(plan, keep_path=False, max_elements=10**8)
+    raw = _run(plan, keep_path=False)
     for row in map(tuple, raw.endpoints.tolist()):
         ends[row] += 1
     support = set(law) | set(ends)
@@ -377,3 +382,41 @@ def test_every_run_reads_the_element_budget_at_the_call(run, paths, elements, mo
         run(plan)
     monkeypatch.setattr(simulate, "MAX_ELEMENTS", elements)
     run(plan)
+
+
+def _recorder(step, seen):
+    def record(self, rows, t0, k):
+        seen.append(rows.size)
+        step(self, rows, t0, k)
+    return record
+
+
+@pytest.mark.parametrize("paths, budget", [(40_000, None), (40_000, 40_000 * 3), (2_000, 2_000 * 3)])
+def test_chunks_stay_within_the_chunk_rule_and_the_budget(paths, budget, monkeypatch):
+    # from (_BLOCK,) * 3 every path is far in the first block and most are
+    # near in the second, so both kinds of chunk run at their widest
+    plan = SimPlan(ModelParams(3, 0.9), (_BLOCK,) * 3, 24, paths, seed=5)
+    far, near = [], []
+    monkeypatch.setattr(simulate._Walk, "far_block", _recorder(simulate._Walk.far_block, far))
+    monkeypatch.setattr(simulate._Walk, "near_block", _recorder(simulate._Walk.near_block, near))
+    if budget is not None:
+        monkeypatch.setattr(simulate, "MAX_ELEMENTS", budget)
+    cap = simulate.MAX_ELEMENTS // (_BLOCK * 3)
+    simulate_batch(plan)
+    assert sum(far) + sum(near) == 2 * paths
+    assert max(far) == min(_CHUNK // _BLOCK, cap)
+    assert max(near) == min(_CHUNK, cap)
+
+
+@pytest.mark.parametrize("chunk", [24, _BLOCK])
+def test_results_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # far and near rows both run, in chunks of 1 or 2 far rows at the least
+    plan = SimPlan(ModelParams(2, 0.5), (_BLOCK, _BLOCK), 40, 300, seed=17)
+    runs = []
+    for size in (16384, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK", size)
+        batch = simulate_batch(plan)
+        runs.append([*vars(batch).values(), trajectories(plan),
+                     *vars(martingale_diagnostic(plan)).values()])
+    for a, b in zip(*runs):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
