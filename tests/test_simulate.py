@@ -410,7 +410,8 @@ def test_chunks_stay_within_the_chunk_rule_and_the_budget(paths, budget, monkeyp
 
 @pytest.mark.parametrize("chunk", [24, _BLOCK])
 def test_results_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    # far and near rows both run, in chunks of 1 or 2 far rows at the least
+    # both far and near rows run; at _CHUNK = 24 or _BLOCK a far chunk holds
+    # 2 rows or 1
     plan = SimPlan(ModelParams(2, 0.5), (_BLOCK, _BLOCK), 40, 300, seed=17)
     runs = []
     for size in (16384, chunk):
