@@ -242,9 +242,8 @@ def propagate(p: ModelParams, start: State, n: int) -> SparseDistribution:
 def propagate_full(p: ModelParams, start: State, n: int) -> SparseDistribution:
     """Exact law of the signed walk on Z^d after n steps from start.
 
-    Needed by the domination checks: reading the orthant values off the
-    reflected law by redistributing over sign patterns is wrong in general,
-    so the full chain is propagated directly.
+    The full chain is propagated directly: the reflected law, redistributed
+    over sign patterns, is not this law in general.
     """
     return _law(p, "signed", start, n)
 

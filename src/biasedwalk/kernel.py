@@ -132,6 +132,8 @@ def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
 
 def kappa(v: State) -> int:
     """Number of zero coordinates of a lattice site."""
+    if not hasattr(v, "__iter__"):
+        raise ValueError(f"kappa: site must be a sequence of coordinates, got {v!r}")
     return sum(1 for c in v if c == 0)
 
 

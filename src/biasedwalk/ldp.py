@@ -217,8 +217,7 @@ def rate_functions(p: ModelParams, points) -> list[RateResult]:
     classes = _classify(p, x)
     k, d = x.shape
     face, inside = classes == "simplex_boundary", classes != "outside"
-    if face.any():
-        x[face] /= x[face].sum(axis=1, keepdims=True)
+    x[face] /= x[face].sum(axis=1, keepdims=True)
     value, kkt = np.full(k, math.inf), np.full(k, math.nan)
     s_star, iterations = np.zeros((k, d)), np.zeros(k, dtype=int)
     if p.lam == 0.0:
@@ -227,37 +226,34 @@ def rate_functions(p: ModelParams, points) -> list[RateResult]:
         # a finite maximizer; a zero coordinate pushes its tilt to -infinity.
         found = face & (x > 0.0).all(axis=1)
         value[face] = math.log(d) + _xlogy(x[face], x[face]).sum(axis=1)
-        if found.any():
-            xf = x[found]
-            s = s_star[found] = np.log(d * xf)
-            grad = xf - np.exp(s - _log_psi_rows(p, s)[:, None]) / d
-            kkt[found] = np.abs(grad).max(axis=1)
+        xf = x[found]
+        s = s_star[found] = np.log(d * xf)
+        grad = xf - np.exp(s - _log_psi_rows(p, s)[:, None]) / d
+        kkt[found] = np.abs(grad).max(axis=1)
     else:
         # The face is the same expression at u = 0 and |x| = 1, where the
         # term (1 - |x|) ln u vanishes and the maximizer diverges.
         found = inside & ~face
         u = np.zeros(k)
-        if found.any():
-            xf = x[found]
-            uf, iterations[found] = _dual_roots(xf)
-            u[found] = uf
-            s = s_star[found] = p.s0 + np.log((xf + np.hypot(xf, uf[:, None])) / uf[:, None])
-            # Stationarity residual at the maximizer; a coordinate at the
-            # kink contributes exactly x_i = 0 because h'(s0) = 0.  The
-            # divisor is libm's exp of each row's ln psi.
-            norm = d * (1.0 + p.lam)
-            up = np.exp(s) / norm
-            down = p.lam * np.exp(-s) / norm
-            psi_s = np.array([math.exp(v) for v in _log_psi_rows(p, s).tolist()])
-            kkt[found] = np.abs(xf - (up - down) / psi_s[:, None]).max(axis=1)
-        if inside.any():
-            xi, ui = x[inside], u[inside]
-            total = np.where(face[inside], 1.0, xi.sum(axis=1))
-            r = np.hypot(xi, ui[:, None])
-            value[inside] = (
-                0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(d)
-                + _xlogy(1.0 - total, ui) + _xlogy(xi, xi + r).sum(axis=1)
-            )
+        xf = x[found]
+        uf, iterations[found] = _dual_roots(xf)
+        u[found] = uf
+        s = s_star[found] = p.s0 + np.log((xf + np.hypot(xf, uf[:, None])) / uf[:, None])
+        # Stationarity residual at the maximizer; a coordinate at the
+        # kink contributes exactly x_i = 0 because h'(s0) = 0.  The
+        # divisor is libm's exp of each row's ln psi.
+        norm = d * (1.0 + p.lam)
+        up = np.exp(s) / norm
+        down = p.lam * np.exp(-s) / norm
+        psi_s = np.array([math.exp(v) for v in _log_psi_rows(p, s).tolist()])
+        kkt[found] = np.abs(xf - (up - down) / psi_s[:, None]).max(axis=1)
+        xi, ui = x[inside], u[inside]
+        total = np.where(face[inside], 1.0, xi.sum(axis=1))
+        r = np.hypot(xi, ui[:, None])
+        value[inside] = (
+            0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(d)
+            + _xlogy(1.0 - total, ui) + _xlogy(xi, xi + r).sum(axis=1)
+        )
     value = np.where(value > 0.0, value, 0.0)
     return [
         RateResult(value=v, argmax_s=tuple(s) if f else None,
@@ -326,7 +322,8 @@ class PiecewiseLinearPath:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.times) < 2 or len(self.times) != len(self.values):
+        sized = hasattr(self.times, "__len__") and hasattr(self.values, "__len__")
+        if not sized or len(self.times) < 2 or len(self.times) != len(self.values):
             raise ValueError("need matching times and values with at least 2 rows")
         dims = {len(row) if hasattr(row, "__len__") else None for row in self.values}
         if len(dims) != 1 or None in dims:
@@ -366,7 +363,7 @@ def path_from_json(rows) -> PiecewiseLinearPath:
     try:
         times = tuple(row["t"] for row in rows)
         values = tuple(row["phi"] for row in rows)
-    except (TypeError, KeyError) as err:
+    except (TypeError, KeyError, IndexError) as err:
         raise ValueError("each breakpoint needs keys 't' and 'phi'") from err
     for phi in values:
         if not isinstance(phi, list):

@@ -30,9 +30,10 @@ step-by-step loop, bit for bit.
 The martingale sums are kept as integer tallies of (path, step) pairs by
 table row and cell.  They are turned into floats once, at the end, grouped
 by the number of zero coordinates at the source site, whether coordinate i
-is zero there and the move on coordinate i, in a fixed order, so the
-summary does not depend on how paths were grouped into blocks and is
-reproducible bit for bit.
+is zero there and the move on coordinate i.  The grouping fixes the
+products count * increment that are formed, and math.fsum rounds their
+exact sum once, so the summary does not depend on how paths were grouped
+into blocks and is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -258,9 +259,9 @@ class _Walk:
 
     def martingale_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Sums over all (path, step) pairs of xi = delta - f and xi**2 per
-        coordinate, taken from the tallies in one fixed order with
-        math.fsum, so they do not depend on how paths were grouped into
-        blocks and chunks."""
+        coordinate.  The tallies' classes fix the products count * xi, and
+        math.fsum rounds their exact sum once, so the sums do not depend on
+        how paths were grouped into blocks and chunks."""
         d = self.dim
         # zero[r, i]: coordinate i is zero at the sites of row r
         zero = (np.arange(len(self.moves))[:, None] >> np.arange(d)) & 1
@@ -275,16 +276,9 @@ class _Walk:
         # (row 0) and on (last row) the hyperplane of coordinate i; D by kap
         rise = self.widths[[0, -1], 1] - self.widths[[0, -1], 0]
         big_d = self.big_d[(1 << np.arange(d + 1)) - 1]
-        xi_sum, xi_sumsq = np.zeros(d), np.zeros(d)
-        for i in range(d):
-            terms, squares = [], []
-            for (kap, z, j), count in np.ndenumerate(tally[..., i]):
-                if count:
-                    xi = (j - 1) - rise[z] / big_d[kap]
-                    terms.append(int(count) * xi)
-                    squares.append(int(count) * (xi * xi))
-            xi_sum[i] = math.fsum(terms)
-            xi_sumsq[i] = math.fsum(squares)
+        xi = np.arange(-1, 2) - (rise / big_d[:, None])[..., None]
+        xi_sum = np.array([math.fsum((tally[..., i] * xi).ravel()) for i in range(d)])
+        xi_sumsq = np.array([math.fsum((tally[..., i] * (xi * xi)).ravel()) for i in range(d)])
         return xi_sum, xi_sumsq
 
 

@@ -254,10 +254,15 @@ def test_numpy_scalars_are_numbers():
     (lambda: exact.check_domination_lower(P2, 1, 3), "^start must have 2 coordinates, got 1$"),
     (lambda: ldp.PiecewiseLinearPath((0, 1), (0, 0.5)), "^'phi' rows must be sequences"),
     (lambda: ldp.ldp_consistency(P2, 0.5, 10), "^horizons must be integers, got 10$"),
+    (lambda: ldp.PiecewiseLinearPath(0, ((0, 0), (1, 0))), "^need matching times and values"),
+    (lambda: ldp.PiecewiseLinearPath((0, 1), 5), "^need matching times and values"),
+    (lambda: ldp.path_from_json(np.array([1.0, 2.0])), "^each breakpoint needs keys 't' and 'phi'$"),
+    (lambda: kappa(3), "^kappa: site must be a sequence of coordinates, got 3$"),
 ], ids=["propagate", "sim-plan", "full-kernel", "log-mgf", "lower-start", "path-phi",
-        "consistency-horizons"])
+        "consistency-horizons", "path-times", "path-values", "path-json-array", "kappa"])
 def test_a_scalar_where_a_sequence_belongs_is_refused_by_name(call, message):
-    # each raised a TypeError from len() or list() before it was checked
+    # each raised a TypeError (from len(), list() or iteration) or an
+    # IndexError before it was checked
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -1069,6 +1069,13 @@ def test_batch_matches_one_point_on_full_grids(d, grid, lam):
 def test_batch_of_no_points_and_of_scalars():
     p = ModelParams(2, 0.5)
     assert ldp.rate_functions(p, np.empty((0, 2))) == []
+    # batches that leave the face, the maximizer rows or the domain empty
+    for q, rows in [(p, [[0.9, 0.5], [-0.1, 0.2]]),    # outside only
+                    (p, [[0.5, 0.5], [1.0, 0.0]]),     # face only
+                    (p, [[0.1, 0.2], [0.3, 0.0]]),     # inside, off the face
+                    (ModelParams(2, 0.0), [[1.0, 0.0]]),
+                    (ModelParams(2, 0.0), [[0.2, 0.3]])]:
+        _assert_batch_is_one_point(q, np.array(rows))
     assert ldp.rate_functions(P1, [0.2, 0.5]) == [ldp.rate_function(P1, 0.2),
                                                   ldp.rate_function(P1, 0.5)]
     with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape \(3,\)"):

@@ -24,6 +24,7 @@ from biasedwalk.simulate import (
     _BLOCK,
     _CHUNK,
     _RawBatch,
+    _Walk,
     _path_states,
     _row,
     _run,
@@ -86,6 +87,32 @@ def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _Raw
     )
 
 
+
+def _reference_martingale_sums(walk: _Walk) -> tuple[np.ndarray, np.ndarray]:
+    """The grouped loop the martingale sums were first taken with: one
+    product count * xi per nonempty (kap, z, move) class of each coordinate,
+    in class order, summed with math.fsum."""
+    d = walk.dim
+    zero = (np.arange(len(walk.moves))[:, None] >> np.arange(d)) & 1
+    down, up = walk.moves[:, 0::2], walk.moves[:, 1::2]
+    stay = walk.moves.sum(axis=1)[:, None] - down - up
+    tally = np.zeros((d + 1, 2, 3, d), dtype=np.int64)
+    for j, count in enumerate((down, stay, up)):
+        np.add.at(tally, (zero.sum(axis=1, keepdims=True), zero, j, np.arange(d)), count)
+    rise = walk.widths[[0, -1], 1] - walk.widths[[0, -1], 0]
+    big_d = walk.big_d[(1 << np.arange(d + 1)) - 1]
+    xi_sum, xi_sumsq = np.zeros(d), np.zeros(d)
+    for i in range(d):
+        terms, squares = [], []
+        for (kap, z, j), count in np.ndenumerate(tally[..., i]):
+            if count:
+                xi = (j - 1) - rise[z] / big_d[kap]
+                terms.append(int(count) * xi)
+                squares.append(int(count) * (xi * xi))
+        xi_sum[i] = math.fsum(terms)
+        xi_sumsq[i] = math.fsum(squares)
+    return xi_sum, xi_sumsq
+
 @st.composite
 def _plans(draw):
     d = draw(st.integers(1, 5))
@@ -127,6 +154,21 @@ def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
     assert np.all(np.abs(fast.xi_sum - ref.xi_sum) <= 1e-13 * count)
     assert np.all(np.abs(fast.xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
 
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-300, None, 0.999999])
+def test_martingale_sums_equal_the_grouped_loop_bit_for_bit(d, lam):
+    # random move tallies, sparse and up to 10**12 per cell; None draws lam
+    # from U(0, 1)
+    rng = np.random.default_rng([d, 0 if lam is None else 1])
+    for _ in range(20):
+        plan = SimPlan(ModelParams(d, rng.uniform() if lam is None else lam), (0,) * d, 0, 1)
+        walk = _Walk(plan, keep_path=False)
+        scale = 10 ** rng.integers(0, 13, size=walk.moves.shape)
+        walk.moves = rng.integers(0, scale + 1) * (rng.uniform(size=scale.shape) < 0.7)
+        got, want = walk.martingale_sums(), _reference_martingale_sums(walk)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("lam", [0.0, 5e-324, 0.3, 1.0 - 2.0**-53])
