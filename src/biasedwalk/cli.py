@@ -16,7 +16,9 @@ rows are the table's rows, each is keyed from it by `dict(zip(header, row))`.
 Settings resolve in three layers: built-in defaults, then a `--config`
 file of flat `key=value` lines (keys spelled like the long flags without
 the leading dashes, `#` comments allowed, unknown keys ignored so one
-file can serve several subcommands), then explicit flags.
+file can serve several subcommands), then explicit flags.  A setting has
+one name, its config key, in flags, files and the merged configuration,
+which is plain Python too and is itself the artifact's echo.
 
 Exit status: 0 on success, 1 for argument or domain problems (the message
 names the offending flag), 2 when a computation fails numerically (an
@@ -79,19 +81,13 @@ class _Opt:
     def flag(self) -> str:
         return "--" + self.key
 
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_")
-
 
 # value kind -> (conversion of the text, what the message says it expects)
 _KINDS = {
     "int": (lambda t: int(t, 10), "an integer"),
     "float": (float, "a number"),
-    "ints": (lambda t: tuple(int(c, 10) for c in t.split(",")),
-             "comma-separated integers"),
-    "floats": (lambda t: tuple(float(c) for c in t.split(",")),
-               "comma-separated numbers"),
+    "ints": (lambda t: [int(c, 10) for c in t.split(",")], "comma-separated integers"),
+    "floats": (lambda t: [float(c) for c in t.split(",")], "comma-separated numbers"),
     "str": (str, "a string"),
 }
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -105,7 +101,7 @@ def _parse(opt: _Opt, text):
         if value is None:
             raise CliError(f"{opt.flag} expects true or false, got {text!r}")
         return value
-    if isinstance(opt.kind, tuple):
+    if opt.kind not in _KINDS:  # a tuple of choices
         if text not in opt.kind:
             raise CliError(f"{opt.flag} must be one of {'/'.join(opt.kind)}, got {text!r}")
         return text
@@ -114,8 +110,8 @@ def _parse(opt: _Opt, text):
         value = convert(str(text))
     except ValueError:
         raise CliError(f"{opt.flag} expects {expected}, got {text!r}") from None
-    name = opt.flag + " entries" if isinstance(value, tuple) else opt.flag
-    for v in value if isinstance(value, tuple) else (value,):
+    name = opt.flag + " entries" if isinstance(value, list) else opt.flag
+    for v in value if isinstance(value, list) else (value,):
         # written so that NaN fails every bound
         if (opt.lo is not None and not opt.lo <= v) or (
             opt.hi is not None and not (v < opt.hi if opt.hi_open else v <= opt.hi)
@@ -136,7 +132,7 @@ SHARED_OPTS = (
 )
 
 # --out and --config steer the plumbing, not the experiment, so they stay
-# outside the merged/echoed configuration.
+# outside the merged configuration, which is the artifact's echo.
 PLUMBING_OPTS = (
     _Opt("out", "str", default=None, help="artifact path (default stdout)"),
     _Opt("config", "str", default=None, help="key=value config file"),
@@ -192,19 +188,20 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _merge(command: _Command, args: argparse.Namespace) -> dict:
     """Resolve every setting from its flag, else the --config file, else its
-    default; flag and file text go through the same parse."""
+    default; flag and file text go through the same parse.  The result,
+    keyed by config key, is the configuration the artifact echoes."""
     file_values = _load_config_file(args.config) if args.config else {}
-    cfg: dict = {"command": command.name, "out": args.out}
+    cfg: dict = {"command": command.name}
     for opt in SHARED_OPTS + command.opts:
-        text = getattr(args, opt.dest)
+        text = getattr(args, opt.key)
         if text is None:
             text = file_values.get(opt.key)
         if text is not None:
-            cfg[opt.dest] = _parse(opt, text)
+            cfg[opt.key] = _parse(opt, text)
         elif opt.default is _REQUIRED:
             raise CliError(f"{command.name}: {opt.flag} is required")
         else:
-            cfg[opt.dest] = opt.default
+            cfg[opt.key] = opt.default
     return cfg
 
 
@@ -228,7 +225,7 @@ def _jsonable(value):
     "-inf"), so that json.dumps stays strict."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_jsonable(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -239,7 +236,7 @@ def _cell(value) -> str:
     """Text of a CSV cell or of a config value in a CSV comment."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ",".join(_cell(v) for v in value)
     return str(value)
 
@@ -250,20 +247,14 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_artifact(command: _Command, cfg: dict, payload: dict, header: list[str],
-                     rows) -> str:
+def _render_artifact(cfg: dict, payload: dict, header: list[str], rows) -> str:
     """The artifact in the requested format only: the payload as JSON, or
     the rows as a CSV table; both carry the effective configuration."""
-    echo = {"command": cfg["command"]}
-    echo.update((opt.key, cfg[opt.dest]) for opt in SHARED_OPTS + command.opts)
     if cfg["format"] == "json":
-        body = {"config": echo, **payload}
-        return json.dumps(_jsonable(body), indent=2, sort_keys=True,
+        return json.dumps(_jsonable({"config": cfg, **payload}), indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     comments = "".join(
-        f"# {key}={_cell(value)}\n"
-        for key, value in sorted(echo.items())
-        if value is not None
+        f"# {key}={_cell(value)}\n" for key, value in sorted(cfg.items()) if value is not None
     )
     return comments + _csv_table(header, list(rows))
 
@@ -286,7 +277,7 @@ def _run_simulate(cfg: dict):
     p = _params(cfg)
     plan = simulate.SimPlan(p, _start(p, cfg, (0,) * p.dim, cfg["steps"]), cfg["steps"],
                             cfg["paths"], seed=cfg["seed"])
-    if cfg["dump_trajectories"]:
+    if cfg["dump-trajectories"]:
         states = simulate.trajectories(plan).tolist()
         header = ["path", "step"] + [f"x{i + 1}" for i in range(p.dim)]
         rows = ([j, k, *site] for j, path in enumerate(states)
@@ -381,13 +372,13 @@ def _run_mgf(cfg: dict):
         raise CliError(f"--s needs {p.dim} comma-separated components")
     limit = ldp.log_psi(p, s)
     rows = []
-    for n in cfg["n_list"]:
+    for n in cfg["n-list"]:
         value = exact.log_mgf(p, (0,) * p.dim, n, s)
         rows.append([n, value, value / n, limit, value / n - limit])
     header = ["n", "log_mgf", "scaled", "limit", "gap"]
     summary = f"mgf: final |gap| {abs(rows[-1][4]):.6g} at n={rows[-1][0]}"
     records = [dict(zip(header, row)) for row in rows]
-    return {"s": list(s), "rows": records}, header, rows, summary
+    return {"s": s, "rows": records}, header, rows, summary
 
 
 @_command("return-prob", "exact return probabilities up to a horizon",
@@ -395,7 +386,7 @@ def _run_mgf(cfg: dict):
 def _run_return_prob(cfg: dict):
     p = _params(cfg)
     rows = [[n, q, math.log(q) if q > 0 else -math.inf]
-            for n, q in exact.return_probability_profile(p, cfg["n_max"])]
+            for n, q in exact.return_probability_profile(p, cfg["n-max"])]
     header = ["n", "probability", "log_prob"]
     summary = f"return-prob: P(X_{rows[-1][0]} = 0) = {rows[-1][1]:.6g}"
     return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, summary
@@ -429,8 +420,8 @@ def _run_dominate(cfg: dict):
     upper = cfg["mode"] == "upper"
     if upper and cfg.get("start") is not None:
         raise CliError("dominate: --start applies only to --mode lower")
-    reports = exact.domination_profile(p, cfg["mode"], cfg["n_max"],
-                                       start=_start(p, cfg, None, cfg["n_max"]))
+    reports = exact.domination_profile(p, cfg["mode"], cfg["n-max"],
+                                       start=_start(p, cfg, None, cfg["n-max"]))
     header = ["n", "cells_checked", "max_violation" if upper else "min_slack"]
     rows = [[r.n, r.cells_checked, getattr(r, header[2])] for r in reports]
     bounds = [row[2] for row in rows]
@@ -549,7 +540,7 @@ def _run_path_rate(cfg: dict):
           _Opt("a", "float", lo=0, hi=1, help="tail threshold in [0, 1]"), _N_LIST)
 def _run_ldp_consistency(cfg: dict):
     p = _require_transform_params(cfg, "ldp-consistency")
-    table = ldp.ldp_consistency(p, cfg["a"], cfg["n_list"])
+    table = ldp.ldp_consistency(p, cfg["a"], cfg["n-list"])
     header = ["n", "tail_prob", "empirical_rate", "limit_rate", "gap"]
     rows = [list(astuple(r)) for r in table]
     last = table[-1]
@@ -568,10 +559,10 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(command.name, help=command.help)
         for opt in SHARED_OPTS + command.opts + PLUMBING_OPTS:
             if opt.kind == "bool":
-                sp.add_argument(opt.flag, dest=opt.dest, action="store_const",
+                sp.add_argument(opt.flag, dest=opt.key, action="store_const",
                                 const=True, default=None, help=opt.help)
             else:
-                sp.add_argument(opt.flag, dest=opt.dest, default=None,
+                sp.add_argument(opt.flag, dest=opt.key, default=None,
                                 metavar="V", help=opt.help)
     return parser
 
@@ -585,19 +576,19 @@ def main(argv=None) -> int:
         command = _COMMANDS[args.command]
         cfg = _merge(command, args)
         payload, header, rows, summary = command.run(cfg)
-        artifact = _render_artifact(command, cfg, payload, header, rows)
-        if cfg["out"] is not None:
+        artifact = _render_artifact(cfg, payload, header, rows)
+        if args.out is not None:
             try:
-                Path(cfg["out"]).write_text(artifact)
+                Path(args.out).write_text(artifact)
             except OSError as err:
-                raise CliError(f"--out: cannot write {cfg['out']!r}: {err.strerror}") from None
+                raise CliError(f"--out: cannot write {args.out!r}: {err.strerror}") from None
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ConvergenceError, ResourceBudgetError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if cfg["out"] is not None:
+    if args.out is not None:
         print(summary)
     else:
         sys.stdout.write(artifact)

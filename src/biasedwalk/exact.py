@@ -276,7 +276,8 @@ def _rational_moves(lam: Fraction, v: State) -> list[tuple[State, Fraction]]:
     """The signed walk's moves out of v and their probabilities, in exact
     rationals; coded apart from kernel._moves, which is pinned to it."""
     d = len(v)
-    big_d = d + kappa(v) + lam * (d - kappa(v))
+    zeros = kappa(v)
+    big_d = d + zeros + lam * (d - zeros)
     moves = []
     for i in range(d):
         for step in (-1, 1):

@@ -134,6 +134,8 @@ def kappa(v: State) -> int:
     """Number of zero coordinates of a lattice site."""
     if not hasattr(v, "__iter__"):
         raise ValueError(f"kappa: site must be a sequence of coordinates, got {v!r}")
+    if not all(_integer(c) for c in v):
+        raise ValueError(f"kappa: site must have integer coordinates, got {v!r}")
     return sum(1 for c in v if c == 0)
 
 

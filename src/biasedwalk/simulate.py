@@ -135,7 +135,8 @@ class SimPlan:
             raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
         if not _integer(self.seed) or not 0 <= self.seed <= _MASK:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        _check_site(self.params, self.start, orthant=True, name="start", reach=self.steps)
+        start = _check_site(self.params, self.start, orthant=True, name="start", reach=self.steps)
+        object.__setattr__(self, "start", start)
 
 
 @dataclass(frozen=True)

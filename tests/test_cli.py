@@ -509,19 +509,36 @@ def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys)
     seen = []
     render = cli._render_artifact
 
-    def checked(command, cfg, payload, header, rows):
+    def checked(cfg, payload, header, rows):
         rows = list(rows)
-        seen.append((payload, header, rows))
-        return render(command, cfg, payload, header, rows)
+        seen.append((cfg, payload, header, rows))
+        return render(cfg, payload, header, rows)
 
     monkeypatch.setattr(cli, "_render_artifact", checked)
     code, _, err = run_cli([*_CONTRACT_RUNS[run], "--format", fmt], capsys)
     assert code == 0, err
-    [(payload, header, rows)] = seen
+    [(cfg, payload, header, rows)] = seen
+    _assert_plain(cfg, "config")
     _assert_plain(payload, "payload")
     assert type(header) is list and all(type(h) is str for h in header)
     assert rows and all(type(row) is list and len(row) == len(header) for row in rows)
     _assert_plain(rows, "rows")
+
+
+@pytest.mark.parametrize("run", list(_CONTRACT_RUNS))
+def test_csv_echo_reruns_through_config(run, tmp_path, monkeypatch, capsys):
+    # the echoed configuration is itself a --config file that reproduces
+    # the artifact byte for byte
+    (tmp_path / "path.json").write_text(
+        '[{"t": 0, "phi": [0]}, {"t": 0.5, "phi": [0.2]}, {"t": 1, "phi": [0.8]}]')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*_CONTRACT_RUNS[run], "--format", "csv"], capsys)
+    assert code == 0, err
+    echo = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    (tmp_path / "echo.cfg").write_text("\n".join(echo) + "\n")
+    code, again, err = run_cli([_CONTRACT_RUNS[run][0], "--config", "echo.cfg"], capsys)
+    assert code == 0, err
+    assert again == out
 
 
 # ---------------------------------------------------------------------------

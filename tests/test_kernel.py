@@ -226,10 +226,13 @@ P2 = ModelParams(2, 0.5)
     (lambda: ldp.ldp_consistency(P2, "0.5", [4]), "threshold a must lie in"),
     (lambda: exact.return_probability(P2, "4"), "step count must be an integer"),
     (lambda: exact.check_domination_lower(P2, ("a", "b"), 3), "start must have integer"),
+    (lambda: kappa("a0"), "^kappa: site must have integer coordinates, got 'a0'$"),
+    (lambda: kappa([0.5, 0]), "^kappa: site must have integer coordinates"),
+    (lambda: kappa([True, False]), "^kappa: site must have integer coordinates"),
 ], ids=["rate-str", "rate-bool", "rates-str", "rates-bool-array", "rate-huge-int", "mgf-bool",
         "psi-str", "closed-form-numpy-bool", "path-t-str", "path-t-bool", "path-phi-str",
         "lam-bool", "lam-str", "dim-float", "consistency-a-bool", "consistency-a-str",
-        "return-prob-str", "lower-start-str"])
+        "return-prob-str", "lower-start-str", "kappa-str", "kappa-float", "kappa-bool"])
 def test_numbers_are_real_numbers_not_strings_or_bools(call, message):
     # each was read as a number, or failed with a TypeError, before the
     # rule moved into kernel
@@ -244,6 +247,11 @@ def test_numpy_scalars_are_numbers():
     x = [np.float32(0.25), np.int64(0)]
     assert ldp.rate_function(p, x) == ldp.rate_function(p, [0.25, 0.0])
     assert exact.log_mgf(p, (0, 0), 4, x) == exact.log_mgf(p, (0, 0), 4, (0.25, 0.0))
+    plan = simulate.SimPlan(P2, (0, 0), 3, 2)
+    for start in (np.array([0, 0]), (np.int64(0), 0)):
+        other = simulate.SimPlan(P2, start, 3, 2)
+        assert other == plan and hash(other) == hash(plan)
+        assert type(other.start) is tuple and all(type(c) is int for c in other.start)
 
 
 @pytest.mark.parametrize("call, message", [
