@@ -108,10 +108,10 @@ def _check_site(
 
 def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
     """rows as a new float array of shape (k, dim), each scalar row taken
-    as one coordinate; ValueError naming it unless every row has dim
-    coordinates, all real numbers (see _real) that are finite doubles.  A
-    float or integer array is taken whole, with no check per entry; one
-    vector v is _finite_rows(name, [v], dim)[0]."""
+    as one coordinate and an empty sequence as no rows; ValueError naming
+    it unless every row has dim coordinates, all real numbers (see _real)
+    that are finite doubles.  A float or integer array is taken whole, with
+    no check per entry; one vector v is _finite_rows(name, [v], dim)[0]."""
     if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "fiu"):
         rows = np.array(rows, dtype=object)
         for x in rows.flat:
@@ -121,7 +121,7 @@ def _finite_rows(name: str, rows, dim: int) -> np.ndarray:
         v = np.array(rows, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} entries must lie within double range") from None
-    v = v[:, None] if v.ndim == 1 else v
+    v = v.reshape(-1, 1 if v.size else dim) if v.ndim == 1 else v
     if v.shape[1:] != (dim,):
         raise ValueError(f"{name} must have {dim} coordinates, got shape {v.shape[1:]}")
     finite = np.isfinite(v).all(axis=1)

@@ -13,19 +13,23 @@ distinct paths and steps get distinct counters).  This is exactly a
 SplitMix64 draw sequence per path, evaluated positionally: the stream of
 path j never depends on how many other paths run beside it.
 
-Each step converts one uniform u into a move by inverse transform over the
-2d cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] of the row of
-the run's move table (see _table) that the source site's zero pattern
-selects: the move is the number of running width totals of the row,
-summed left to right up to the next-to-last cell, that do not exceed u*D.
+Each step turns its draw into a move by inverse transform over the 2d
+cells [(coord 0, -1), (coord 0, +1), (coord 1, -1), ...] of the row of the
+run's move table (see _table) that the source site's zero pattern selects:
+the move is the number of running width totals cum[j] of the row, summed
+left to right up to the next-to-last cell, that do not exceed u*D.  As the
+float product u*D never decreases in the 53-bit draw m = bits >> 11,
+cum[j] <= u*D holds exactly when m >= T[j], the least draw that passes,
+that is when bits >= T[j] << 11: a run finds T once, and no step forms u.
 
 The walk advances in blocks of _BLOCK steps.  A path whose smallest
 coordinate is at least the block length cannot reach a hyperplane inside
 the block, so every step of it reads row 0: its draws for the whole block
-are converted at once and its position, history and visit count are
-updated from the moves.  Every other path takes the block one step at a
-time, reading the row of its current site.  Both give the moves of a plain
-step-by-step loop, bit for bit.
+are compared with row 0's thresholds at once, and its position, history
+and visit count are updated from the counts of moves past each cell.
+Every other path takes the block one step at a time, reading the row of
+its current site.  Both give the moves of a plain step-by-step loop, bit
+for bit.
 
 The martingale sums are kept as integer tallies of (path, step) pairs by
 table row and cell.  They are turned into floats once, at the end, grouped
@@ -61,6 +65,7 @@ _BLOCK = 12
 # Elements in a chunk's temporaries.  A far chunk's are (_BLOCK, rows), so
 # it takes _CHUNK // _BLOCK rows; a near chunk's are (rows,) per step, so it
 # takes _CHUNK rows, which amortises the few dozen numpy calls of each step.
+# The move thresholds are built in blocks of _CHUNK // (2 * dim - 1) rows.
 _CHUNK = 16384
 # The move table has a row per zero pattern, 2**dim of them.
 _MAX_DIM = 16
@@ -98,15 +103,11 @@ def _path_states(seed: int, m: int) -> np.ndarray:
     return _mix64(np.uint64(seed_mixed) + offsets)
 
 
-def _step_uniforms(states: np.ndarray, t) -> np.ndarray:
-    """Uniform [0,1) draw number t (0-based) for every path stream.
-
-    t may also be an integer array of shape (k, 1), which gives the (k, m)
-    block of draws t[0], ..., t[k-1] with the same bits."""
+def _step_bits(states: np.ndarray, t) -> np.ndarray:
+    """Raw 64-bit draw number t (0-based) of every path stream; an integer
+    array t of shape (k, 1) gives the (k, m) block of draws t[0..k-1]."""
     t = np.atleast_1d(np.asarray(t, dtype=np.uint64))
-    counter = (t + np.uint64(1)) * np.uint64(_GAMMA)     # wraps mod 2**64
-    bits = _mix64(states + counter)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _mix64(states + (t + np.uint64(1)) * np.uint64(_GAMMA))    # wraps mod 2**64
 
 
 @dataclass(frozen=True)
@@ -201,18 +202,23 @@ class _Walk:
             self.history = np.empty((plan.steps + 1, m, d), dtype=np.int64)
             self.history[0] = self.Y.T
         self.widths, self.big_d = _table(p)
-        # cum[j, r]: the widths of cells 0..j of row r, summed left to right
-        self.cum = np.ascontiguousarray(np.cumsum(self.widths, axis=1).T)
+        # cum[j, r]: the widths of cells 0..j of row r, summed left to right.
+        # thresholds[j, r] = T << 11, T the least draw m with cum[j, r] <=
+        # (m * 2**-53) * D[r]: within 3 of ceil(cum / D * 2**53), as division
+        # and product each round by about one draw, so it is the window's top
+        # less its passing draws.
+        cum = np.cumsum(self.widths, axis=1).T[:-1]
+        self.thresholds = np.empty(cum.shape, dtype=np.uint64)
+        for rows in _chunks(np.arange(2**d), _CHUNK // (2 * d - 1)):
+            c, big_d = cum[:, rows], self.big_d[rows]
+            lo = np.maximum(np.ceil(c / big_d * 2.0**53) - 3, 0)
+            passes = np.zeros(c.shape, dtype=np.int8)
+            for o in range(7):
+                passes += c <= (lo + o) * 2.0**-53 * big_d
+            if not ((passes > 0) & ((passes < 7) | (lo == 0))).all():
+                raise ArithmeticError("a move threshold lies outside its search window")
+            self.thresholds[:, rows] = (lo + 7 - passes).astype(np.uint64) << np.uint64(11)
         self.moves = np.zeros(self.widths.shape, dtype=np.int64)
-
-    def cell_index(self, row, threshold: np.ndarray) -> np.ndarray:
-        """Inverse transform: the number of running width totals of the
-        table row, up to the next-to-last cell, that do not exceed the
-        threshold."""
-        idx = (self.cum[0][row] <= threshold).astype(np.int64)
-        for cum in self.cum[1:-1]:
-            idx += cum[row] <= threshold
-        return idx
 
     def far_block(self, rows: np.ndarray, t0: int, k: int) -> None:
         """Advance rows whose smallest coordinate is at least k by k steps.
@@ -222,19 +228,24 @@ class _Walk:
         boundary visit."""
         d, c = self.dim, rows.size
         Y = self.Y.take(rows, axis=1)
-        u = _step_uniforms(self.streams[rows], np.arange(t0, t0 + k)[:, None])
-        idx = self.cell_index(0, u * self.big_d[0])
-        cells = np.bincount(
-            (idx * c + np.arange(c)).ravel(), minlength=2 * d * c
-        ).reshape(d, 2, c)
+        bits = _step_bits(self.streams[rows], np.arange(t0, t0 + k)[:, None])
+        # over[j, s, l]: the move of path l at step t0 + s is past cell j
+        over = (bits >= self.thresholds[:, 0, None, None]).view(np.int8)
+        # past[j, l]: the steps of path l whose move is past cell j - 1, at
+        # most k, so summed as bytes
+        past = np.zeros((2 * d + 1, c), dtype=np.int8)
+        past[0] = k
+        over.sum(axis=1, dtype=np.int8, out=past[1:-1])
+        cells = past[:-1] - past[1:]
         if self.history is not None:
+            idx = over.sum(axis=0, dtype=np.int8)
             step = np.zeros((k, c, d), dtype=np.int64)
             step[np.arange(k)[:, None], np.arange(c), idx >> 1] = ((idx & 1) << 1) - 1
             self.history[t0 + 1 : t0 + k + 1, rows] = Y.T + np.cumsum(step, axis=0)
-        Y += cells[:, 1] - cells[:, 0]
+        Y += cells[1::2] - cells[0::2]
         self.Y[:, rows] = Y
         self.visits[rows] += (Y == 0).any(axis=0)
-        self.moves[0] += cells.sum(axis=2).ravel()
+        self.moves[0] += cells.sum(axis=1)
 
     def near_block(self, rows: np.ndarray, t0: int, k: int) -> None:
         """Advance rows by k steps one step at a time, each step with the
@@ -247,7 +258,10 @@ class _Walk:
         keys = np.empty((k, c), dtype=np.int64)
         row = _row(Y)
         for s in range(k):
-            idx = self.cell_index(row, _step_uniforms(streams, t0 + s) * self.big_d[row])
+            bits = _step_bits(streams, t0 + s)
+            idx = (bits >= self.thresholds[0][row]).astype(np.int64)
+            for thresholds in self.thresholds[1:]:
+                idx += bits >= thresholds[row]
             keys[s] = row * (2 * d) + idx
             Y[idx >> 1, lane] += ((idx & 1) << 1) - 1
             row = _row(Y)

@@ -1069,6 +1069,9 @@ def test_batch_matches_one_point_on_full_grids(d, grid, lam):
 def test_batch_of_no_points_and_of_scalars():
     p = ModelParams(2, 0.5)
     assert ldp.rate_functions(p, np.empty((0, 2))) == []
+    # an empty sequence is no points at every dimension
+    for q in (p, ModelParams(3, 0.5)):
+        assert ldp.rate_functions(q, []) == ldp.rate_functions(q, ()) == []
     # batches that leave the face, the maximizer rows or the domain empty
     for q, rows in [(p, [[0.9, 0.5], [-0.1, 0.2]]),    # outside only
                     (p, [[0.5, 0.5], [1.0, 0.0]]),     # face only

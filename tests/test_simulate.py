@@ -28,9 +28,16 @@ from biasedwalk.simulate import (
     _path_states,
     _row,
     _run,
-    _step_uniforms,
+    _step_bits,
     _table,
 )
+
+
+def _step_uniforms(states: np.ndarray, t) -> np.ndarray:
+    """Uniform [0,1) draw number t (0-based) for every path stream: the
+    53 high bits of the raw draw, as the float inverse transform of
+    _reference_run reads them."""
+    return (_step_bits(states, t) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
@@ -188,6 +195,43 @@ def test_move_table_rows_are_the_law_at_their_sites(d, lam):
             assert widths[r].tolist() == [float(w) for pair in law for w in pair]
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_move_thresholds_are_the_least_passing_draw(d):
+    # thresholds[j, r] = T << 11, where T is the least 53-bit draw m whose
+    # float uniform passes the inverse-transform test cum <= (m * 2**-53) * D
+    # of cell j of row r; checked with plain Python floats at T and T - 1
+    rng = np.random.default_rng(d)
+    lams = [0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, *rng.uniform(size=4),
+            *(10.0 ** rng.uniform(-320, -1, size=4))]
+    for lam in lams:
+        walk = _Walk(SimPlan(ModelParams(d, float(lam)), (0,) * d, 0, 1), keep_path=False)
+        assert walk.thresholds.shape == (2 * d - 1, 2**d)
+        assert walk.thresholds.dtype == np.uint64
+        for r, (widths, big_d) in enumerate(zip(walk.widths.tolist(), walk.big_d.tolist())):
+            cum = 0.0
+            for j in range(2 * d - 1):
+                cum += widths[j]
+                bits = int(walk.thresholds[j, r])
+                m = bits >> 11
+                assert m << 11 == bits and m < 2**53
+                assert cum <= (m * 2.0**-53) * big_d
+                assert m == 0 or not cum <= ((m - 1) * 2.0**-53) * big_d
+
+
+def test_move_thresholds_build_at_the_largest_dimension():
+    # the table is built in many blocks of rows here; the same test as
+    # above, in numpy doubles, holds at every entry
+    d = simulate._MAX_DIM
+    walk = _Walk(SimPlan(ModelParams(d, 0.5), (0,) * d, 0, 1), keep_path=False)
+    assert walk.thresholds.shape == (2 * d - 1, 2**d)
+    cum = np.cumsum(walk.widths, axis=1).T[:-1]
+    m = (walk.thresholds >> np.uint64(11)).astype(np.float64)
+    assert (cum <= m * 2.0**-53 * walk.big_d).all()
+    assert ((m == 0) | ~(cum <= (m - 1) * 2.0**-53 * walk.big_d)).all()
+    # a simulation from the origin runs every step on the thresholds
+    simulate_batch(SimPlan(ModelParams(d, 0.5), (0,) * d, 5, 10, seed=1))
+
+
 def test_deterministic_outward_walk_is_exact():
     # d=1, lam=0: the walk marches right one step per tick, so every
     # statistic collapses to its deterministic value.
@@ -245,6 +289,17 @@ def test_stream_golden_values():
         0x97EA87F7E45C00A5,
         0xDB0DFA909F59B2FE,
         0xC0456DEAE48313A0,
+    ]
+    # the raw draws the simulator compares with its move thresholds
+    assert [int(v) for v in _step_bits(st, 0)] == [
+        0x9D591BB7266B13F3,
+        0x1AD0370E286A4648,
+        0x022F07065D49230A,
+    ]
+    assert [int(v) for v in _step_bits(st, 1)] == [
+        0x733A550E28BD9590,
+        0x853902B2DAA6187A,
+        0x514472E6D2A5E8D5,
     ]
     np.testing.assert_allclose(
         _step_uniforms(st, 0),
