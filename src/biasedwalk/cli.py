@@ -10,8 +10,8 @@ is built from those declarations once per process.
 
 A runner returns (payload, header, rows, summary) in plain Python (int,
 float, str, bool, None, lists and dicts), converting numpy once with
-`.tolist()`.  `rows` is the one table, which CSV renders; where the JSON
-rows are the table's rows, each is keyed from it by `dict(zip(header, row))`.
+`.tolist()`.  CSV renders `rows`, the one table (JSON rows that repeat it
+are keyed `dict(zip(header, row))`); JSON renders the payload in one pass.
 
 Settings resolve in three layers: built-in defaults, then a `--config`
 file of flat `key=value` lines (keys spelled like the long flags without
@@ -110,6 +110,8 @@ def _parse(opt: _Opt, text):
         value = convert(str(text))
     except ValueError:
         raise CliError(f"{opt.flag} expects {expected}, got {text!r}") from None
+    if opt.kind == "str" and (len(value.splitlines()) > 1 or value != value.strip()):
+        raise CliError(f"{opt.flag} must be one line with no outer whitespace, got {value!r}")
     name = opt.flag + " entries" if isinstance(value, list) else opt.flag
     for v in value if isinstance(value, list) else (value,):
         # written so that NaN fails every bound
@@ -220,16 +222,19 @@ def _start(p: ModelParams, cfg: dict, default, reach: int):
     return _check_site(p, start, orthant=True, name="--start", reach=reach)
 
 
-def _jsonable(value):
-    """The payload with each non-finite float as its text ("nan", "inf",
-    "-inf"), so that json.dumps stays strict."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+def _json(value, pad: str = "") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True, allow_nan=False),
+    written in one pass, with each non-finite float as its repr in quotes."""
+    if type(value) in (int, float):
+        return repr(value) if -math.inf < value < math.inf else f'"{value!r}"'
+    if not isinstance(value, (dict, list)) or not value:
+        return json.dumps(value)  # a string, bool, None, [] or {}
+    inner = pad + "  "
     if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
+        return "[\n" + ",\n".join([inner + _json(v, inner) for v in value]) + f"\n{pad}]"
+    items = [f"{inner}{json.encoder.encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+             for k in sorted(value)]
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}"
 
 
 def _cell(value) -> str:
@@ -242,17 +247,14 @@ def _cell(value) -> str:
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_cell(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _render_artifact(cfg: dict, payload: dict, header: list[str], rows) -> str:
     """The artifact in the requested format only: the payload as JSON, or
     the rows as a CSV table; both carry the effective configuration."""
     if cfg["format"] == "json":
-        return json.dumps(_jsonable({"config": cfg, **payload}), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return _json({"config": cfg, **payload}) + "\n"
     comments = "".join(
         f"# {key}={_cell(value)}\n" for key, value in sorted(cfg.items()) if value is not None
     )

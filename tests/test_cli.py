@@ -452,6 +452,54 @@ def test_json_serializes_non_finite_as_strings(capsys):
     assert body["class"] == "outside"
 
 
+def _jsonable(value):
+    """The payload with each non-finite float as its text ("nan", "inf",
+    "-inf"), so that json.dumps stays strict: the two-pass rendering that
+    the one-pass writer cli._json replaced, kept as its reference."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
+def _reference_json(value) -> str:
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+_FINITE_LEAVES = (
+    st.none() | st.booleans() | st.integers(-10**30, 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    # a ballot count may have thousands of digits, beyond double range
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1.7976931348623157e308, -10**400])
+    | st.text()
+)
+
+
+def _plain_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
+        max_leaves=40,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_plain_values(_FINITE_LEAVES))
+def test_json_writer_matches_the_stdlib_encoder(value):
+    # json stays the oracle: on finite payloads the one-pass writer writes
+    # exactly what the stdlib's indent encoder writes
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_plain_values(_FINITE_LEAVES | st.sampled_from([math.inf, -math.inf, math.nan])))
+def test_json_writer_quotes_non_finite_floats(value):
+    assert cli._json(value) == _reference_json(value)
+
+
 _PLAIN = (int, float, str, bool, type(None))
 
 
@@ -515,7 +563,7 @@ def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys)
         return render(cfg, payload, header, rows)
 
     monkeypatch.setattr(cli, "_render_artifact", checked)
-    code, _, err = run_cli([*_CONTRACT_RUNS[run], "--format", fmt], capsys)
+    code, out, err = run_cli([*_CONTRACT_RUNS[run], "--format", fmt], capsys)
     assert code == 0, err
     [(cfg, payload, header, rows)] = seen
     _assert_plain(cfg, "config")
@@ -523,6 +571,8 @@ def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys)
     assert type(header) is list and all(type(h) is str for h in header)
     assert rows and all(type(row) is list and len(row) == len(header) for row in rows)
     _assert_plain(rows, "rows")
+    if fmt == "json":
+        assert out == _reference_json({"config": cfg, **payload}) + "\n"
 
 
 @pytest.mark.parametrize("run", list(_CONTRACT_RUNS))
@@ -539,6 +589,25 @@ def test_csv_echo_reruns_through_config(run, tmp_path, monkeypatch, capsys):
     code, again, err = run_cli([_CONTRACT_RUNS[run][0], "--config", "echo.cfg"], capsys)
     assert code == 0, err
     assert again == out
+
+
+@pytest.mark.parametrize("path", ["p\nq.json", "p\rq.json", "p q.json", " p.json"])
+def test_string_setting_reads_back_from_its_echo(path, tmp_path, monkeypatch, capsys):
+    # a value that a config line cannot hold (a line break, or whitespace
+    # that the config reader strips) is refused; any other value reruns
+    # from its CSV echo byte for byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / path).write_text('[{"t": 0, "phi": [0]}, {"t": 1, "phi": [0.5]}]')
+    argv = ["path-rate", "--dim", "1", "--lambda", "0.5", "--path", path, "--format", "csv"]
+    code, out, err = run_cli(argv, capsys)
+    if len(path.splitlines()) > 1 or path != path.strip():
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --path must be one line") and err.count("\n") == 1
+        return
+    assert code == 0, err
+    echo = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    (tmp_path / "echo.cfg").write_text("\n".join(echo) + "\n")
+    assert run_cli(["path-rate", "--config", "echo.cfg"], capsys) == (0, out, err)
 
 
 # ---------------------------------------------------------------------------
