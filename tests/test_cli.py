@@ -469,19 +469,23 @@ def _reference_json(value) -> str:
     return json.dumps(_jsonable(value), indent=2, sort_keys=True, allow_nan=False)
 
 
+# any code point, lone surrogates too; the default st.text() first builds
+# hypothesis's table of UTF-8 characters, which peaks the test process at
+# about 240 MB, and a child's ru_maxrss keeps its parent's peak on Linux
+_TEXT = st.text(st.characters(exclude_categories=()))
 _FINITE_LEAVES = (
     st.none() | st.booleans() | st.integers(-10**30, 10**30)
     | st.floats(allow_nan=False, allow_infinity=False)
     # a ballot count may have thousands of digits, beyond double range
     | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1.7976931348623157e308, -10**400])
-    | st.text()
+    | _TEXT
 )
 
 
 def _plain_values(leaves):
     return st.recursive(
         leaves,
-        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
+        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(_TEXT, kids, max_size=5),
         max_leaves=40,
     )
 
