@@ -76,13 +76,6 @@ _LAM_BITS = 55  # bit length of Fraction(0.3).denominator, the count's unit
 # ---------------------------------------------------------------------------
 
 
-def _axis_view(arr: np.ndarray, dim: int, axis: int) -> np.ndarray:
-    """Reshape a 1-d per-axis array so it broadcasts along the given axis."""
-    shape = [1] * dim
-    shape[axis] = -1
-    return arr.reshape(shape)
-
-
 def _evolve(
     p: ModelParams, walk: str, start: State, n: int, box: tuple[range, ...]
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
@@ -118,8 +111,8 @@ def _evolve(
     # distances from the start over the box
     dist = 0
     for i, (axis, c) in enumerate(zip(box, start)):
-        dist = dist + _axis_view(np.abs(np.arange(len(axis), dtype=np.int32) - (c - axis.start)),
-                                 dim, i)
+        dist = dist + np.abs(np.arange(len(axis), dtype=np.int32) - (c - axis.start)).reshape(
+            (-1,) + (1,) * (dim - i - 1))
     dist = dist.ravel()
     kept = np.flatnonzero(dist <= n)
     level = dist[kept]

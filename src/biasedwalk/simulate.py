@@ -25,8 +25,8 @@ that is when bits >= T[j] << 11: a run finds T once, and no step forms u.
 The walk advances in blocks of _BLOCK steps.  A path whose smallest
 coordinate is at least the block length cannot reach a hyperplane inside
 the block, so every step of it reads row 0: its draws for the whole block
-are compared with row 0's thresholds at once, and its position, history
-and visit count are updated from the counts of moves past each cell.
+are compared with row 0's thresholds at once, which give each step's cell;
+summed step by step the cells give its history, and in all its position.
 Every other path takes the block one step at a time, reading the row of
 its current site.  Both give the moves of a plain step-by-step loop, bit
 for bit.
@@ -238,10 +238,10 @@ class _Walk:
         over.sum(axis=1, dtype=np.int8, out=past[1:-1])
         cells = past[:-1] - past[1:]
         if self.history is not None:
-            idx = over.sum(axis=0, dtype=np.int8)
-            step = np.zeros((k, c, d), dtype=np.int64)
-            step[np.arange(k)[:, None], np.arange(c), idx >> 1] = ((idx & 1) << 1) - 1
-            self.history[t0 + 1 : t0 + k + 1, rows] = Y.T + np.cumsum(step, axis=0)
+            # step[j, s, l]: path l moves through cell j at step t0 + s
+            step = -np.diff(over, axis=0, prepend=np.int8(1), append=np.int8(0))
+            moved = np.cumsum(step[1::2] - step[0::2], axis=1, dtype=np.int8)
+            self.history[t0 + 1 : t0 + k + 1, rows] = (Y[:, None] + moved).transpose(1, 2, 0)
         Y += cells[1::2] - cells[0::2]
         self.Y[:, rows] = Y
         self.visits[rows] += (Y == 0).any(axis=0)
@@ -316,8 +316,8 @@ def _run(plan: SimPlan, *, keep_path: bool) -> _RawBatch:
     if d > _MAX_DIM:
         raise ResourceBudgetError(f"simulation supports dim <= {_MAX_DIM}, got {d}")
     walk = _Walk(plan, keep_path)
-    # Rows per chunk within the budget: the largest array a block makes,
-    # the far rows' per-step moves, holds _BLOCK * d elements per row.
+    # Rows per chunk within the budget: the largest array a block makes, a
+    # far block's (d, k, c) int64 positions, holds _BLOCK * d per row.
     cap = max(1, MAX_ELEMENTS // (_BLOCK * d))
     for t0 in range(0, n, _BLOCK):
         k = min(_BLOCK, n - t0)

@@ -55,6 +55,16 @@ def test_matrix_check_documented_invocation(capsys):
     assert body["max_abs_deviation"] <= 1e-12
 
 
+def test_module_runs_as_a_script(capsys):
+    # python -m biasedwalk.cli exits with main's code and prints what it prints
+    argv = ["matrix-check", "--dim", "2", "--lambda", "0.5"]
+    env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "biasedwalk.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == run_cli(argv, capsys)
+    assert child.returncode == 0
+
+
 def test_rate_fn_rejects_deterministic_one_dim(capsys):
     # dim 1 with lambda 0 leaves no randomness to build a rate function on.
     code, out, err = run_cli(
@@ -988,11 +998,12 @@ def test_runtime_needs_no_scipy():
 
 
 _MAX_RSS = """
-import contextlib, io, resource, sys
+import contextlib, io, sys
 from biasedwalk import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
@@ -1003,7 +1014,9 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 def test_one_step_sweeps_in_high_dimension_stay_small(argv):
     # the cell budget admits these boxes, 3^13 and 2^20 cells, though the
     # walk reaches only 27 and 41 cells of them: a fresh process runs each
-    # in under 200 MiB of resident memory (ru_maxrss is in KiB on Linux)
+    # in under 200 MiB of resident memory.  The child reads its own peak,
+    # VmHWM in KiB, which exec resets; ru_maxrss on Linux would carry over
+    # the peak of the pytest process that started it
     env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _MAX_RSS, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout

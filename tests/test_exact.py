@@ -217,8 +217,7 @@ def test_reachable_sweep_matches_full_box_reference(d, lam, data, walk):
     p = ModelParams(d, lam)
     box = tuple(axis[:max(c - axis.start + 1, len(axis) - k)]
                 for axis, c, k in zip(exact._box(p, walk, start, n, math.inf), start, cut))
-    coords = [exact._axis_view(np.arange(axis.start, axis.stop), d, i)
-              for i, axis in enumerate(box)]
+    coords = np.ix_(*(np.arange(axis.start, axis.stop) for axis in box))
     expected = []
     final = _reference_evolve(tuple(map(len, box)),
                               tuple(c - axis.start for c, axis in zip(start, box)),

@@ -162,6 +162,28 @@ def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
     assert np.all(np.abs(fast.xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
 
 
+@pytest.mark.parametrize("chunk", [_CHUNK, _BLOCK])
+@pytest.mark.parametrize("plan, far_frac", [
+    (SimPlan(ModelParams(2, 0.5), (0, 0), 300, 30), 0.6),           # the CLI dump
+    (SimPlan(ModelParams(3, 0.5), (40, 40, 40), 120, 100, seed=7), 1.0),
+], ids=["dump", "far-start"])
+def test_far_heavy_history_matches_reference_loop(plan, far_frac, chunk, monkeypatch):
+    # Most path-steps run in far blocks, up to ten blocks in a row, which
+    # the drawn plans above never reach.  The budget is the history's size;
+    # it cannot split a block's rows once more than _BLOCK - 1 steps are
+    # kept, so _CHUNK = _BLOCK does: a far chunk holds 1 row, a near one 12
+    d, n, m = plan.params.dim, plan.steps, plan.paths
+    far = []
+    monkeypatch.setattr(simulate._Walk, "far_block", _recorder(simulate._Walk.far_block, far))
+    monkeypatch.setattr(simulate, "MAX_ELEMENTS", (n + 1) * m * d)
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    fast = _run(plan, keep_path=True)
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+    assert np.array_equal(fast.states, ref.states)
+    assert np.array_equal(fast.visits, ref.visits)
+    assert sum(far) * _BLOCK >= far_frac * n * m
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-300, None, 0.999999])
 def test_martingale_sums_equal_the_grouped_loop_bit_for_bit(d, lam):
@@ -216,6 +238,14 @@ def test_move_thresholds_are_the_least_passing_draw(d):
                 assert m << 11 == bits and m < 2**53
                 assert cum <= (m * 2.0**-53) * big_d
                 assert m == 0 or not cum <= ((m - 1) * 2.0**-53) * big_d
+
+
+def test_a_threshold_outside_its_search_window_is_refused(monkeypatch):
+    # NaN widths pass no draw of the window, so no threshold can be set
+    widths, big_d = _table(ModelParams(2, 0.5))
+    monkeypatch.setattr(simulate, "_table", lambda p: (np.full_like(widths, np.nan), big_d))
+    with pytest.raises(ArithmeticError, match="^a move threshold lies outside its search window$"):
+        _Walk(SimPlan(ModelParams(2, 0.5), (0, 0), 1, 1), keep_path=False)
 
 
 def test_move_thresholds_build_at_the_largest_dimension():
