@@ -168,10 +168,11 @@ def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
     (SimPlan(ModelParams(3, 0.5), (40, 40, 40), 120, 100, seed=7), 1.0),
 ], ids=["dump", "far-start"])
 def test_far_heavy_history_matches_reference_loop(plan, far_frac, chunk, monkeypatch):
-    # Most path-steps run in far blocks, up to ten blocks in a row, which
-    # the drawn plans above never reach.  The budget is the history's size;
-    # it cannot split a block's rows once more than _BLOCK - 1 steps are
-    # kept, so _CHUNK = _BLOCK does: a far chunk holds 1 row, a near one 12
+    # Most path-steps run in far blocks, 21 and 10 blocks in a row, where
+    # the drawn plans above have four blocks at most.  The budget is the
+    # history's size; it cannot split a block's rows once more than
+    # _BLOCK - 1 steps are kept, so _CHUNK = _BLOCK does: a far chunk then
+    # holds 1 row and a near one 12
     d, n, m = plan.params.dim, plan.steps, plan.paths
     far = []
     monkeypatch.setattr(simulate._Walk, "far_block", _recorder(simulate._Walk.far_block, far))
