@@ -22,14 +22,17 @@ float product u*D never decreases in the 53-bit draw m = bits >> 11,
 cum[j] <= u*D holds exactly when m >= T[j], the least draw that passes,
 that is when bits >= T[j] << 11: a run finds T once, and no step forms u.
 
-The walk advances in blocks of _BLOCK steps.  A path whose smallest
-coordinate is at least the block length cannot reach a hyperplane inside
-the block, so every step of it reads row 0: its draws for the whole block
-are compared with row 0's thresholds at once, which give each step's cell;
-summed step by step the cells give its history, and in all its position.
-Every other path takes the block one step at a time, reading the row of
-its current site.  Both give the moves of a plain step-by-step loop, bit
-for bit.
+The walk advances in blocks of _BLOCK steps.  A step's comparisons go
+into rows 1..2d-1 of a byte table whose row j says that the move is past
+cell j - 1; row 0 is preset to 1 and row 2d to 0, so the step's cell is
+where consecutive rows differ and its move index is the rows' sum.  A path
+whose smallest coordinate is at least the block length cannot reach a
+hyperplane inside the block, so every step of it reads row 0 of the move
+table: its draws for the whole block are compared at once, into one such
+table per step; summed step by step the cells give its history, and in all
+its position.  Every other path takes the block one step at a time,
+comparing each draw with the thresholds of its current site's row.  Both
+give the moves of a plain step-by-step loop, bit for bit.
 
 The martingale sums are kept as integer tallies of (path, step) pairs by
 table row and cell.  They are turned into floats once, at the end, grouped
@@ -82,8 +85,10 @@ def _table(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row(Y) -> np.ndarray:
-    """Table row of the sites with coordinates Y[i]: sum_i [Y_i = 0] 2^i."""
-    return sum((c == 0) << i for i, c in enumerate(Y))
+    """Table row of the sites with coordinates Y[i]: sum_i [Y_i = 0] 2^i,
+    summed in uint16 (2^16 - 1 at most) and widened once to an index."""
+    bit = np.arange(len(Y), dtype=np.uint16)[:, None]
+    return ((Y == 0) << bit).sum(axis=0, dtype=np.uint16).astype(np.intp)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -229,17 +234,18 @@ class _Walk:
         d, c = self.dim, rows.size
         Y = self.Y.take(rows, axis=1)
         bits = _step_bits(self.streams[rows], np.arange(t0, t0 + k)[:, None])
-        # over[j, s, l]: the move of path l at step t0 + s is past cell j
-        over = (bits >= self.thresholds[:, 0, None, None]).view(np.int8)
+        # over[j, s, l]: the move of path l at step t0 + s is past cell
+        # j - 1; every move is past cell -1 and none past cell 2d - 1
+        over = np.empty((2 * d + 1, k, c), dtype=np.int8)
+        over[0], over[-1] = 1, 0
+        np.greater_equal(bits, self.thresholds[:, 0, None, None], out=over[1:-1].view(bool))
         # past[j, l]: the steps of path l whose move is past cell j - 1, at
         # most k, so summed as bytes
-        past = np.zeros((2 * d + 1, c), dtype=np.int8)
-        past[0] = k
-        over.sum(axis=1, dtype=np.int8, out=past[1:-1])
+        past = over.sum(axis=1, dtype=np.int8)
         cells = past[:-1] - past[1:]
         if self.history is not None:
             # step[j, s, l]: path l moves through cell j at step t0 + s
-            step = -np.diff(over, axis=0, prepend=np.int8(1), append=np.int8(0))
+            step = over[:-1] - over[1:]
             moved = np.cumsum(step[1::2] - step[0::2], axis=1, dtype=np.int8)
             self.history[t0 + 1 : t0 + k + 1, rows] = (Y[:, None] + moved).transpose(1, 2, 0)
         Y += cells[1::2] - cells[0::2]
@@ -249,21 +255,25 @@ class _Walk:
 
     def near_block(self, rows: np.ndarray, t0: int, k: int) -> None:
         """Advance rows by k steps one step at a time, each step with the
-        table row of its source site."""
+        table row of its source site: the step compares its draws with that
+        row's thresholds into one table, as far_block does for a block."""
         d, c = self.dim, rows.size
         Y = self.Y.take(rows, axis=1)
         streams = self.streams[rows]
-        lane = np.arange(c)
         visits = np.zeros(c, dtype=np.int64)
-        keys = np.empty((k, c), dtype=np.int64)
+        keys = np.empty((k, c), dtype=np.intp)
+        # over[j, l]: the move of path l is past cell j - 1
+        over = np.empty((2 * d + 1, c), dtype=np.int8)
+        over[0], over[-1] = 1, 0
+        flags = over.view(bool)
         row = _row(Y)
         for s in range(k):
             bits = _step_bits(streams, t0 + s)
-            idx = (bits >= self.thresholds[0][row]).astype(np.int64)
-            for thresholds in self.thresholds[1:]:
-                idx += bits >= thresholds[row]
-            keys[s] = row * (2 * d) + idx
-            Y[idx >> 1, lane] += ((idx & 1) << 1) - 1
+            for j, thresholds in enumerate(self.thresholds, 1):
+                np.greater_equal(bits, thresholds.take(row), out=flags[j])
+            step = over[:-1] - over[1:]
+            Y += step[1::2] - step[0::2]
+            keys[s] = row * (2 * d) + over[1:-1].sum(axis=0, dtype=np.int8)
             row = _row(Y)
             visits += row > 0
             if self.history is not None:

@@ -141,14 +141,17 @@ def _plans(draw):
 
 @pytest.mark.parametrize("keep_path", [False, True])
 @settings(max_examples=120, deadline=None)
-@given(plan=_plans(), tight=st.booleans())
-def test_block_stepping_matches_reference_loop(keep_path, plan, tight):
-    # A tight budget splits the paths into many chunks per block.
-    # Hypothesis runs every example in one call of the test, so the budget
-    # is patched per example rather than with monkeypatch.
+@given(plan=_plans(), tight=st.booleans(), chunk=st.sampled_from([_CHUNK, 2 * _BLOCK, _BLOCK]))
+def test_block_stepping_matches_reference_loop(keep_path, plan, tight, chunk):
+    # A tight budget splits the paths into many chunks per block, but once
+    # a history of _BLOCK - 1 or more steps is kept it admits every path;
+    # a small _CHUNK splits them then too.  Hypothesis runs every example
+    # in one call of the test, so both are patched per example rather than
+    # with monkeypatch.
     d, n, m = plan.params.dim, plan.steps, plan.paths
     budget = (n + 1) * m * d if keep_path else m * d
-    with mock.patch.object(simulate, "MAX_ELEMENTS", budget if tight else 10**8):
+    with mock.patch.object(simulate, "MAX_ELEMENTS", budget if tight else 10**8), \
+            mock.patch.object(simulate, "_CHUNK", chunk):
         fast = _run(plan, keep_path=keep_path)
     ref = _reference_run(plan, keep_path=keep_path, max_elements=10**8)
     assert np.array_equal(fast.endpoints, ref.endpoints)
@@ -183,6 +186,74 @@ def test_far_heavy_history_matches_reference_loop(plan, far_frac, chunk, monkeyp
     assert np.array_equal(fast.states, ref.states)
     assert np.array_equal(fast.visits, ref.visits)
     assert sum(far) * _BLOCK >= far_frac * n * m
+
+
+def _reference_moves(states: np.ndarray, d: int) -> np.ndarray:
+    """Move tallies rebuilt from a (n + 1, m, d) history: the table row of
+    each step's source site and the cell of its move, 2i - 1 + delta for
+    the move delta on the coordinate i that changed."""
+    src, delta = states[:-1].reshape(-1, d), np.diff(states, axis=0).reshape(-1, d)
+    coord = np.abs(delta).argmax(axis=1)
+    cell = 2 * coord + (delta[np.arange(len(delta)), coord] > 0)
+    keys = _row(src.T) * (2 * d) + cell
+    return np.bincount(keys, minlength=2**d * 2 * d).reshape(-1, 2 * d)
+
+
+def _run_tallies(plan: SimPlan, keep_path: bool) -> tuple[_RawBatch, np.ndarray, list]:
+    """_run's batch, the walk's move tallies and the near chunks' sizes."""
+    seen, near = [], []
+    sums = _Walk.martingale_sums
+
+    def record(walk):
+        seen.append(walk.moves.copy())
+        return sums(walk)
+    with mock.patch.object(_Walk, "martingale_sums", record), \
+            mock.patch.object(_Walk, "near_block", _recorder(_Walk.near_block, near)):
+        raw = _run(plan, keep_path=keep_path)
+    return raw, seen[0], near
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, _BLOCK])
+@pytest.mark.parametrize("plan", [
+    SimPlan(ModelParams(1, 0.9), (0,), 60, 300, seed=3),
+    SimPlan(ModelParams(3, 0.9), (0, 1, 0), 60, 300, seed=4),
+    SimPlan(ModelParams(5, 0.95), (0, 0, 2, 0, 1), 60, 300, seed=5),
+], ids=["d1", "d3", "d5"])
+def test_move_tallies_equal_the_reference_history(plan, chunk, monkeypatch):
+    # the martingale sums are compared above only to within rounding; the
+    # tallies behind them are pinned exactly, on plans whose path-steps run
+    # almost all in near blocks
+    d, n, m = plan.params.dim, plan.steps, plan.paths
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+    want = _reference_moves(ref.states, d)
+    for keep_path in (False, True):
+        _, moves, near = _run_tallies(plan, keep_path)
+        assert sum(near) * _BLOCK >= 0.9 * n * m
+        assert moves.dtype == np.int64 and np.array_equal(moves, want)
+
+
+@pytest.mark.parametrize("plan", [
+    SimPlan(ModelParams(8, 0.3), (0,) * 8, 30, 200, seed=8),
+    SimPlan(ModelParams(9, 0.9), (0, 1, 0, 2, 0, 0, 3, 0, 1), 30, 200, seed=9),
+    SimPlan(ModelParams(16, 0.5), (0,) * 16, 30, 200, seed=16),
+], ids=["d8", "d9", "d16"])
+def test_near_steps_match_reference_loop_in_high_dimension(plan):
+    # table rows past 255 do not fit a byte; the drawn plans stop at d = 5
+    d = plan.params.dim
+    raw, moves, _ = _run_tallies(plan, keep_path=True)
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+    assert np.array_equal(raw.states, ref.states)
+    assert np.array_equal(raw.visits, ref.visits)
+    assert np.array_equal(raw.endpoints, ref.endpoints)
+    assert np.array_equal(moves, _reference_moves(ref.states, d))
+
+
+def test_row_of_the_origin_at_the_largest_dimension():
+    d = simulate._MAX_DIM
+    row = _row(np.zeros((d, 3), dtype=np.int64))
+    assert row.dtype == np.intp and row.tolist() == [2**16 - 1] * 3
+    assert _row(np.eye(d, dtype=np.int64)[:, :2]).tolist() == [2**16 - 2, 2**16 - 3]
 
 
 @pytest.mark.parametrize("d", range(1, 8))
