@@ -190,8 +190,8 @@ def test_far_heavy_history_matches_reference_loop(plan, far_frac, chunk, monkeyp
 
 def _reference_moves(states: np.ndarray, d: int) -> np.ndarray:
     """Move tallies rebuilt from a (n + 1, m, d) history: the table row of
-    each step's source site and the cell of its move, 2i - 1 + delta for
-    the move delta on the coordinate i that changed."""
+    each step's source site and the cell of its move, 2i for a step down
+    on the coordinate i that changed and 2i + 1 for a step up."""
     src, delta = states[:-1].reshape(-1, d), np.diff(states, axis=0).reshape(-1, d)
     coord = np.abs(delta).argmax(axis=1)
     cell = 2 * coord + (delta[np.arange(len(delta)), coord] > 0)
