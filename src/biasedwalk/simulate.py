@@ -31,8 +31,12 @@ hyperplane inside the block, so every step of it reads row 0 of the move
 table: its draws for the whole block are compared at once, into one such
 table per step; summed step by step the cells give its history, and in all
 its position.  Every other path takes the block one step at a time,
-comparing each draw with the thresholds of its current site's row.  Both
-give the moves of a plain step-by-step loop, bit for bit.
+comparing each draw with the thresholds of its current site's row; the
+draws of several steps are made at once when the chunk is small.  Both
+give the moves of a plain step-by-step loop, bit for bit.  A chunk of
+consecutive paths, as every chunk of a block whose paths are all far or
+all near is, steps views of the walk's arrays in place; any other chunk
+steps a copy of its rows and writes it back.
 
 The martingale sums are kept as integer tallies of (path, step) pairs by
 table row and cell.  They are turned into floats once, at the end, grouped
@@ -65,9 +69,10 @@ MAX_ELEMENTS = 50_000_000
 # Steps per block.  A path whose smallest coordinate is at least the block
 # length cannot reach a coordinate hyperplane before the block's last step.
 _BLOCK = 12
-# Elements in a chunk's temporaries.  A far chunk's are (_BLOCK, rows), so
-# it takes _CHUNK // _BLOCK rows; a near chunk's are (rows,) per step, so it
-# takes _CHUNK rows, which amortises the few dozen numpy calls of each step.
+# Elements in a chunk's draws and temporaries.  A far chunk's are (_BLOCK,
+# rows), so it takes _CHUNK // _BLOCK rows; a near chunk's are (rows,) per
+# step, so it takes _CHUNK rows, which amortises the numpy calls of each
+# step, and draws max(1, _CHUNK // rows) steps per call.
 # The move thresholds are built in blocks of _CHUNK // (2 * dim - 1) rows.
 _CHUNK = 16384
 # The move table has a row per zero pattern, 2**dim of them.
@@ -84,10 +89,12 @@ def _table(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([w for pair in widths for w in pair], axis=1), big_d
 
 
-def _row(Y) -> np.ndarray:
+def _row(Y, bit=None) -> np.ndarray:
     """Table row of the sites with coordinates Y[i]: sum_i [Y_i = 0] 2^i,
-    summed in uint16 (2^16 - 1 at most) and widened once to an index."""
-    bit = np.arange(len(Y), dtype=np.uint16)[:, None]
+    summed in uint16 (2^16 - 1 at most) and widened once to an index.  A
+    caller stepping many times passes the column bit[i] = i it shifts by."""
+    if bit is None:
+        bit = np.arange(len(Y), dtype=np.uint16)[:, None]
     return ((Y == 0) << bit).sum(axis=0, dtype=np.uint16).astype(np.intp)
 
 
@@ -232,8 +239,10 @@ class _Walk:
         uses row 0 of the table, and only the block's last index can be a
         boundary visit."""
         d, c = self.dim, rows.size
-        Y = self.Y.take(rows, axis=1)
-        bits = _step_bits(self.streams[rows], np.arange(t0, t0 + k)[:, None])
+        at = _slice(rows)
+        # take keeps a copy coordinate-major, as Y[:, rows] would not
+        Y = self.Y.take(rows, axis=1) if at is rows else self.Y[:, at]
+        bits = _step_bits(self.streams[at], np.arange(t0, t0 + k)[:, None])
         # over[j, s, l]: the move of path l at step t0 + s is past cell
         # j - 1; every move is past cell -1 and none past cell 2d - 1
         over = np.empty((2 * d + 1, k, c), dtype=np.int8)
@@ -247,39 +256,50 @@ class _Walk:
             # step[j, s, l]: path l moves through cell j at step t0 + s
             step = over[:-1] - over[1:]
             moved = np.cumsum(step[1::2] - step[0::2], axis=1, dtype=np.int8)
-            self.history[t0 + 1 : t0 + k + 1, rows] = (Y[:, None] + moved).transpose(1, 2, 0)
+            self.history[t0 + 1 : t0 + k + 1, at] = (Y[:, None] + moved).transpose(1, 2, 0)
         Y += cells[1::2] - cells[0::2]
-        self.Y[:, rows] = Y
-        self.visits[rows] += (Y == 0).any(axis=0)
+        if at is rows:
+            self.Y[:, rows] = Y
+        self.visits[at] += (Y == 0).any(axis=0)
         self.moves[0] += cells.sum(axis=1)
 
     def near_block(self, rows: np.ndarray, t0: int, k: int) -> None:
         """Advance rows by k steps one step at a time, each step with the
         table row of its source site: the step compares its draws with that
-        row's thresholds into one table, as far_block does for a block."""
+        row's thresholds into one table, as far_block does for a block.
+        The draws of max(1, _CHUNK // rows) steps are made in one call, so
+        a small chunk draws its block at once; a chunk of 16384 rows draws
+        step by step, which was measured faster than the whole block."""
         d, c = self.dim, rows.size
-        Y = self.Y.take(rows, axis=1)
-        streams = self.streams[rows]
-        visits = np.zeros(c, dtype=np.int64)
+        at = _slice(rows)
+        Y = self.Y.take(rows, axis=1) if at is rows else self.Y[:, at]
+        streams = self.streams[at]
+        group = max(1, _CHUNK // c)
+        # keys[s, l]: table row of path l's source site at step t0 + s
+        # times 2d, plus the move's cell
         keys = np.empty((k, c), dtype=np.intp)
         # over[j, l]: the move of path l is past cell j - 1
         over = np.empty((2 * d + 1, c), dtype=np.int8)
         over[0], over[-1] = 1, 0
         flags = over.view(bool)
-        row = _row(Y)
+        bit = np.arange(d, dtype=np.uint16)[:, None]
+        row = _row(Y, bit)
         for s in range(k):
-            bits = _step_bits(streams, t0 + s)
+            if s % group == 0:
+                bits = _step_bits(streams, np.arange(t0 + s, t0 + min(s + group, k))[:, None])
             for j, thresholds in enumerate(self.thresholds, 1):
-                np.greater_equal(bits, thresholds.take(row), out=flags[j])
+                np.greater_equal(bits[s % group], thresholds.take(row), out=flags[j])
             step = over[:-1] - over[1:]
             Y += step[1::2] - step[0::2]
             keys[s] = row * (2 * d) + over[1:-1].sum(axis=0, dtype=np.int8)
-            row = _row(Y)
-            visits += row > 0
+            row = _row(Y, bit)
             if self.history is not None:
-                self.history[t0 + s + 1, rows] = Y.T
-        self.Y[:, rows] = Y
-        self.visits[rows] += visits
+                self.history[t0 + s + 1, at] = Y.T
+        if at is rows:
+            self.Y[:, rows] = Y
+        # a visit at index t0 + s + 1 is a source site off row 0 at the next
+        # step, or a site off row 0 after the last
+        self.visits[at] += (keys[1:] >= 2 * d).sum(axis=0) + (row > 0)
         self.moves += np.bincount(keys.ravel(), minlength=self.moves.size).reshape(-1, 2 * d)
 
     def martingale_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -310,6 +330,13 @@ class _Walk:
 def _chunks(rows: np.ndarray, size: int):
     for lo in range(0, rows.size, size):
         yield rows[lo : lo + size]
+
+
+def _slice(rows: np.ndarray) -> slice | np.ndarray:
+    """The ascending rows as a slice when they are consecutive, so that a
+    block steps views of the walk's arrays in place; else the rows."""
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    return slice(lo, hi) if hi - lo == rows.size else rows
 
 
 def _run(plan: SimPlan, *, keep_path: bool) -> _RawBatch:

@@ -28,6 +28,7 @@ from biasedwalk.simulate import (
     _path_states,
     _row,
     _run,
+    _slice,
     _step_bits,
     _table,
 )
@@ -247,6 +248,80 @@ def test_near_steps_match_reference_loop_in_high_dimension(plan):
     assert np.array_equal(raw.visits, ref.visits)
     assert np.array_equal(raw.endpoints, ref.endpoints)
     assert np.array_equal(moves, _reference_moves(ref.states, d))
+
+
+@pytest.mark.parametrize("chunk, paths", [(24, 5), (24, 7), (24, 3), (24, 24), (_CHUNK, 100)],
+                         ids=["group4", "group3", "group8", "group1", "whole-block"])
+def test_grouped_draws_match_reference_loop(chunk, paths, monkeypatch):
+    # near chunks draw max(1, _CHUNK // rows) steps per call: groups that
+    # split a block of 12 steps evenly or not, a group of one step, and a
+    # group longer than the block; the last block has 5 steps
+    plan = SimPlan(ModelParams(2, 0.9), (0, 0), 3 * _BLOCK + 5, paths, seed=paths)
+    group = max(1, chunk // paths)
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+    for keep_path in (False, True):
+        draws = []
+        with mock.patch.object(simulate, "_step_bits", _draws(draws)):
+            raw, moves, near = _run_tallies(plan, keep_path)
+        # every path starts near, so the first block's chunk is all of them
+        assert near[0] == paths and draws[0] == (min(group, _BLOCK), paths)
+        assert all(rows * cols <= chunk for rows, cols in draws)
+        assert np.array_equal(raw.endpoints, ref.endpoints)
+        assert np.array_equal(raw.visits, ref.visits)
+        assert np.array_equal(moves, _reference_moves(ref.states, 2))
+        if keep_path:
+            assert np.array_equal(raw.states, ref.states)
+
+
+def _chunk_rows(step, seen):
+    def record(self, rows, t0, k):
+        seen.append(rows.copy())
+        step(self, rows, t0, k)
+    return record
+
+
+@pytest.mark.parametrize("plan, chunk", [
+    (SimPlan(ModelParams(3, 0.5), (40, 40, 40), 60, 50, seed=7), _BLOCK),
+    (SimPlan(ModelParams(3, 0.5), (40, 40, 40), 60, 50, seed=7), 2 * _BLOCK),
+    (SimPlan(ModelParams(2, 0.9), (0, 0), 2 * _BLOCK, 100, seed=8), _CHUNK),
+    (SimPlan(ModelParams(2, 0.5), (_BLOCK, _BLOCK), 4 * _BLOCK, 300, seed=9), _CHUNK),
+], ids=["far-1-row", "far-2-rows", "near-origin", "mixed"])
+def test_consecutive_and_scattered_chunks_match_reference_loop(plan, chunk, monkeypatch):
+    # consecutive rows are stepped through views of the walk's arrays and
+    # others through copies scattered back: all-far blocks split into
+    # many consecutive chunks, one all-near chunk, and mixed blocks whose
+    # chunks skip rows
+    d, m = plan.params.dim, plan.paths
+    far, near = [], []
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    monkeypatch.setattr(_Walk, "far_block", _chunk_rows(_Walk.far_block, far))
+    monkeypatch.setattr(_Walk, "near_block", _chunk_rows(_Walk.near_block, near))
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+    for keep_path in (False, True):
+        far.clear(), near.clear()
+        raw, moves, _ = _run_tallies(plan, keep_path)
+        assert np.array_equal(raw.endpoints, ref.endpoints)
+        assert np.array_equal(raw.visits, ref.visits)
+        assert np.array_equal(moves, _reference_moves(ref.states, d))
+        if keep_path:
+            assert np.array_equal(raw.states, ref.states)
+    far_views, near_views = ([isinstance(_slice(rows), slice) for rows in seen]
+                             for seen in (far, near))
+    if plan.start[0] == 40:
+        assert not near and len(far) == plan.steps // _BLOCK * -(-m // (chunk // _BLOCK))
+        assert all(far_views)
+    elif plan.start[0] == 0:
+        assert near[0].tolist() == list(range(m)) and near_views[0]
+    else:
+        assert not all(far_views) and not all(near_views)
+
+
+def test_rows_are_a_slice_only_when_consecutive():
+    assert _slice(np.arange(3, 7)) == slice(3, 7)
+    assert _slice(np.array([5])) == slice(5, 6)
+    rows = np.array([1, 2, 4])
+    assert _slice(rows) is rows
 
 
 def test_row_of_the_origin_at_the_largest_dimension():
@@ -590,14 +665,24 @@ def _recorder(step, seen):
     return record
 
 
+def _draws(seen):
+    """simulate._step_bits, recording the shape of every block of draws."""
+    def record(states, t):
+        bits = _step_bits(states, t)
+        seen.append(bits.shape)
+        return bits
+    return record
+
+
 @pytest.mark.parametrize("paths, budget", [(40_000, None), (40_000, 40_000 * 3), (2_000, 2_000 * 3)])
 def test_chunks_stay_within_the_chunk_rule_and_the_budget(paths, budget, monkeypatch):
     # from (_BLOCK,) * 3 every path is far in the first block and most are
     # near in the second, so both kinds of chunk run at their widest
     plan = SimPlan(ModelParams(3, 0.9), (_BLOCK,) * 3, 24, paths, seed=5)
-    far, near = [], []
+    far, near, draws = [], [], []
     monkeypatch.setattr(simulate._Walk, "far_block", _recorder(simulate._Walk.far_block, far))
     monkeypatch.setattr(simulate._Walk, "near_block", _recorder(simulate._Walk.near_block, near))
+    monkeypatch.setattr(simulate, "_step_bits", _draws(draws))
     if budget is not None:
         monkeypatch.setattr(simulate, "MAX_ELEMENTS", budget)
     cap = simulate.MAX_ELEMENTS // (_BLOCK * 3)
@@ -605,6 +690,9 @@ def test_chunks_stay_within_the_chunk_rule_and_the_budget(paths, budget, monkeyp
     assert sum(far) + sum(near) == 2 * paths
     assert max(far) == min(_CHUNK // _BLOCK, cap)
     assert max(near) == min(_CHUNK, cap)
+    # a chunk's draws, a far block's or a group of near steps', stay
+    # within _CHUNK elements
+    assert max(math.prod(shape) for shape in draws) <= _CHUNK
 
 
 @pytest.mark.parametrize("chunk", [24, _BLOCK])
