@@ -267,16 +267,14 @@ class _Walk:
         """Advance rows by k steps one step at a time, each step with the
         table row of its source site: the step compares its draws with that
         row's thresholds into one table, as far_block does for a block.
-        The draws of max(1, _CHUNK // rows) steps are made in one call, so
-        a small chunk draws its block at once; a chunk of 16384 rows draws
-        step by step, which was measured faster than the whole block."""
+        It draws max(1, _CHUNK // rows) steps per call: a small chunk its
+        whole block, a chunk of _CHUNK rows one step, as measured fastest."""
         d, c = self.dim, rows.size
         at = _slice(rows)
         Y = self.Y.take(rows, axis=1) if at is rows else self.Y[:, at]
         streams = self.streams[at]
         group = max(1, _CHUNK // c)
-        # keys[s, l]: table row of path l's source site at step t0 + s
-        # times 2d, plus the move's cell
+        # keys[s, l]: path l's source row at step t0 + s times 2d, plus its cell
         keys = np.empty((k, c), dtype=np.intp)
         # over[j, l]: the move of path l is past cell j - 1
         over = np.empty((2 * d + 1, c), dtype=np.int8)
