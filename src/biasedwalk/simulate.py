@@ -89,12 +89,10 @@ def _table(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([w for pair in widths for w in pair], axis=1), big_d
 
 
-def _row(Y, bit=None) -> np.ndarray:
+def _row(Y, bit: np.ndarray) -> np.ndarray:
     """Table row of the sites with coordinates Y[i]: sum_i [Y_i = 0] 2^i,
-    summed in uint16 (2^16 - 1 at most) and widened once to an index.  A
-    caller stepping many times passes the column bit[i] = i it shifts by."""
-    if bit is None:
-        bit = np.arange(len(Y), dtype=np.uint16)[:, None]
+    summed in uint16 (2^16 - 1 at most) and widened once to an index; the
+    uint16 column bit[i] = i is built once by the caller."""
     return ((Y == 0) << bit).sum(axis=0, dtype=np.uint16).astype(np.intp)
 
 
@@ -184,18 +182,11 @@ class MartingaleDiagnostic:
     variance: np.ndarray
 
 
-@dataclass(frozen=True)
-class _RawBatch:
-    endpoints: np.ndarray       # (m, d) int64 final states
-    visits: np.ndarray          # (m,) int64 boundary-visit counts
-    xi_sum: np.ndarray          # (d,) sum of martingale increments
-    xi_sumsq: np.ndarray        # (d,) sum of squared increments
-    states: np.ndarray | None   # (n+1, m, d) full history if requested
-
-
 class _Walk:
     """State of a batch in flight: positions, streams, visit counts, the
     optional history and the integer tallies behind the martingale sums.
+    Stepped to the end, it is the finished batch that _run returns, with
+    the final states path-major in ``endpoints``, shape (m, d).
 
     Positions are held coordinate-major, ``Y[i, j]`` for coordinate i of
     path j, so that reductions over the coordinates of every path run along
@@ -337,7 +328,7 @@ def _slice(rows: np.ndarray) -> slice | np.ndarray:
     return slice(lo, hi) if hi - lo == rows.size else rows
 
 
-def _run(plan: SimPlan, *, keep_path: bool) -> _RawBatch:
+def _run(plan: SimPlan, *, keep_path: bool) -> _Walk:
     p = plan.params
     d, n, m = p.dim, plan.steps, plan.paths
     if m * d > MAX_ELEMENTS:
@@ -361,14 +352,8 @@ def _run(plan: SimPlan, *, keep_path: bool) -> _RawBatch:
             walk.far_block(rows, t0, k)
         for rows in _chunks(np.flatnonzero(~far), min(_CHUNK, cap)):
             walk.near_block(rows, t0, k)
-    xi_sum, xi_sumsq = walk.martingale_sums()
-    return _RawBatch(
-        endpoints=np.ascontiguousarray(walk.Y.T),
-        visits=walk.visits,
-        xi_sum=xi_sum,
-        xi_sumsq=xi_sumsq,
-        states=walk.history,
-    )
+    walk.endpoints = np.ascontiguousarray(walk.Y.T)
+    return walk
 
 
 def simulate_batch(plan: SimPlan) -> BatchSummary:
@@ -381,10 +366,10 @@ def simulate_batch(plan: SimPlan) -> BatchSummary:
     p = plan.params
     if plan.steps < 1:
         raise ValueError("batch statistics need steps >= 1")
-    raw = _run(plan, keep_path=False)
+    walk = _run(plan, keep_path=False)
     n, m = plan.steps, plan.paths
-    mean_endpoint = (raw.endpoints / n).mean(axis=0)
-    centred = (raw.endpoints - n * p.speed) / np.sqrt(n)    # (m, d)
+    mean_endpoint = (walk.endpoints / n).mean(axis=0)
+    centred = (walk.endpoints - n * p.speed) / np.sqrt(n)    # (m, d)
     cov = np.empty((p.dim, p.dim))
     for i in range(p.dim):
         for j in range(i, p.dim):
@@ -392,8 +377,8 @@ def simulate_batch(plan: SimPlan) -> BatchSummary:
     return BatchSummary(
         mean_endpoint=mean_endpoint,
         cov_scaled=cov,
-        boundary_visit_counts=raw.visits,
-        martingale_mean=raw.xi_sum / (n * m),
+        boundary_visit_counts=walk.visits,
+        martingale_mean=walk.martingale_sums()[0] / (n * m),
     )
 
 
@@ -412,9 +397,7 @@ def trajectories(plan: SimPlan) -> np.ndarray:
 
     Row j is exactly the trajectory that path index j follows in any batch
     sharing this plan's seed, so the array is reproducible path by path."""
-    raw = _run(plan, keep_path=True)
-    assert raw.states is not None
-    return np.swapaxes(raw.states, 0, 1)
+    return np.swapaxes(_run(plan, keep_path=True).history, 0, 1)
 
 
 def martingale_diagnostic(plan: SimPlan) -> MartingaleDiagnostic:
@@ -426,10 +409,10 @@ def martingale_diagnostic(plan: SimPlan) -> MartingaleDiagnostic:
     of the diffusive covariance for long runs."""
     if plan.steps < 1:
         raise ValueError("martingale statistics need steps >= 1")
-    raw = _run(plan, keep_path=False)
+    xi_sum, xi_sumsq = _run(plan, keep_path=False).martingale_sums()
     count = plan.steps * plan.paths
-    mean = raw.xi_sum / count
-    variance = raw.xi_sumsq / count - mean**2
+    mean = xi_sum / count
+    variance = xi_sumsq / count - mean**2
     return MartingaleDiagnostic(mean=mean, variance=variance)
 
 
@@ -440,5 +423,5 @@ def boundary_visits(plan: SimPlan) -> dict[int, int]:
     For lam < 1 the chain leaves the coordinate hyperplanes for good after
     an almost-surely finite number of visits, so the histogram stabilises
     as n grows."""
-    raw = _run(plan, keep_path=False)
-    return dict(sorted(Counter(raw.visits.tolist()).items()))
+    visits = _run(plan, keep_path=False).visits
+    return dict(sorted(Counter(visits.tolist()).items()))

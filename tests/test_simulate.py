@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from biasedwalk.simulate import (
     trajectory,
     _BLOCK,
     _CHUNK,
-    _RawBatch,
     _Walk,
     _path_states,
     _row,
@@ -41,7 +41,7 @@ def _step_uniforms(states: np.ndarray, t) -> np.ndarray:
     return (_step_bits(states, t) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _RawBatch:
+def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> SimpleNamespace:
     """The original one-step-at-a-time loop over all paths, kept as the
     reference that the block-stepping ``_run`` must reproduce."""
     p = plan.params
@@ -90,8 +90,8 @@ def _reference_run(plan: SimPlan, *, keep_path: bool, max_elements: int) -> _Raw
         if history is not None:
             history[t + 1] = Y
 
-    return _RawBatch(
-        endpoints=Y, visits=visits, xi_sum=xi_sum, xi_sumsq=xi_sumsq, states=history
+    return SimpleNamespace(
+        endpoints=Y, visits=visits, xi_sum=xi_sum, xi_sumsq=xi_sumsq, history=history
     )
 
 
@@ -158,12 +158,13 @@ def test_block_stepping_matches_reference_loop(keep_path, plan, tight, chunk):
     assert np.array_equal(fast.endpoints, ref.endpoints)
     assert np.array_equal(fast.visits, ref.visits)
     if keep_path:
-        assert np.array_equal(fast.states, ref.states)
+        assert np.array_equal(fast.history, ref.history)
     # The martingale sums are taken in another order, so they may differ
     # by rounding, at most a few ulps of 1 per increment.
     count = n * m
-    assert np.all(np.abs(fast.xi_sum - ref.xi_sum) <= 1e-13 * count)
-    assert np.all(np.abs(fast.xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
+    xi_sum, xi_sumsq = fast.martingale_sums()
+    assert np.all(np.abs(xi_sum - ref.xi_sum) <= 1e-13 * count)
+    assert np.all(np.abs(xi_sumsq - ref.xi_sumsq) <= 1e-13 * count)
 
 
 @pytest.mark.parametrize("chunk", [_CHUNK, _BLOCK])
@@ -184,7 +185,7 @@ def test_far_heavy_history_matches_reference_loop(plan, far_frac, chunk, monkeyp
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     fast = _run(plan, keep_path=True)
     ref = _reference_run(plan, keep_path=True, max_elements=10**8)
-    assert np.array_equal(fast.states, ref.states)
+    assert np.array_equal(fast.history, ref.history)
     assert np.array_equal(fast.visits, ref.visits)
     assert sum(far) * _BLOCK >= far_frac * n * m
 
@@ -196,22 +197,16 @@ def _reference_moves(states: np.ndarray, d: int) -> np.ndarray:
     src, delta = states[:-1].reshape(-1, d), np.diff(states, axis=0).reshape(-1, d)
     coord = np.abs(delta).argmax(axis=1)
     cell = 2 * coord + (delta[np.arange(len(delta)), coord] > 0)
-    keys = _row(src.T) * (2 * d) + cell
+    keys = _row(src.T, np.arange(d, dtype=np.uint16)[:, None]) * (2 * d) + cell
     return np.bincount(keys, minlength=2**d * 2 * d).reshape(-1, 2 * d)
 
 
-def _run_tallies(plan: SimPlan, keep_path: bool) -> tuple[_RawBatch, np.ndarray, list]:
-    """_run's batch, the walk's move tallies and the near chunks' sizes."""
-    seen, near = [], []
-    sums = _Walk.martingale_sums
-
-    def record(walk):
-        seen.append(walk.moves.copy())
-        return sums(walk)
-    with mock.patch.object(_Walk, "martingale_sums", record), \
-            mock.patch.object(_Walk, "near_block", _recorder(_Walk.near_block, near)):
+def _run_tallies(plan: SimPlan, keep_path: bool) -> tuple[_Walk, list]:
+    """_run's walk, with its move tallies, and the near chunks' sizes."""
+    near = []
+    with mock.patch.object(_Walk, "near_block", _recorder(_Walk.near_block, near)):
         raw = _run(plan, keep_path=keep_path)
-    return raw, seen[0], near
+    return raw, near
 
 
 @pytest.mark.parametrize("chunk", [_CHUNK, _BLOCK])
@@ -227,11 +222,11 @@ def test_move_tallies_equal_the_reference_history(plan, chunk, monkeypatch):
     d, n, m = plan.params.dim, plan.steps, plan.paths
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     ref = _reference_run(plan, keep_path=True, max_elements=10**8)
-    want = _reference_moves(ref.states, d)
+    want = _reference_moves(ref.history, d)
     for keep_path in (False, True):
-        _, moves, near = _run_tallies(plan, keep_path)
+        raw, near = _run_tallies(plan, keep_path)
         assert sum(near) * _BLOCK >= 0.9 * n * m
-        assert moves.dtype == np.int64 and np.array_equal(moves, want)
+        assert raw.moves.dtype == np.int64 and np.array_equal(raw.moves, want)
 
 
 @pytest.mark.parametrize("plan", [
@@ -242,12 +237,12 @@ def test_move_tallies_equal_the_reference_history(plan, chunk, monkeypatch):
 def test_near_steps_match_reference_loop_in_high_dimension(plan):
     # table rows past 255 do not fit a byte; the drawn plans stop at d = 5
     d = plan.params.dim
-    raw, moves, _ = _run_tallies(plan, keep_path=True)
+    raw, _ = _run_tallies(plan, keep_path=True)
     ref = _reference_run(plan, keep_path=True, max_elements=10**8)
-    assert np.array_equal(raw.states, ref.states)
+    assert np.array_equal(raw.history, ref.history)
     assert np.array_equal(raw.visits, ref.visits)
     assert np.array_equal(raw.endpoints, ref.endpoints)
-    assert np.array_equal(moves, _reference_moves(ref.states, d))
+    assert np.array_equal(raw.moves, _reference_moves(ref.history, d))
 
 
 @pytest.mark.parametrize("chunk, paths", [(24, 5), (24, 7), (24, 3), (24, 24), (_CHUNK, 100)],
@@ -263,15 +258,15 @@ def test_grouped_draws_match_reference_loop(chunk, paths, monkeypatch):
     for keep_path in (False, True):
         draws = []
         with mock.patch.object(simulate, "_step_bits", _draws(draws)):
-            raw, moves, near = _run_tallies(plan, keep_path)
+            raw, near = _run_tallies(plan, keep_path)
         # every path starts near, so the first block's chunk is all of them
         assert near[0] == paths and draws[0] == (min(group, _BLOCK), paths)
         assert all(rows * cols <= chunk for rows, cols in draws)
         assert np.array_equal(raw.endpoints, ref.endpoints)
         assert np.array_equal(raw.visits, ref.visits)
-        assert np.array_equal(moves, _reference_moves(ref.states, 2))
+        assert np.array_equal(raw.moves, _reference_moves(ref.history, 2))
         if keep_path:
-            assert np.array_equal(raw.states, ref.states)
+            assert np.array_equal(raw.history, ref.history)
 
 
 def _chunk_rows(step, seen):
@@ -300,12 +295,12 @@ def test_consecutive_and_scattered_chunks_match_reference_loop(plan, chunk, monk
     ref = _reference_run(plan, keep_path=True, max_elements=10**8)
     for keep_path in (False, True):
         far.clear(), near.clear()
-        raw, moves, _ = _run_tallies(plan, keep_path)
+        raw, _ = _run_tallies(plan, keep_path)
         assert np.array_equal(raw.endpoints, ref.endpoints)
         assert np.array_equal(raw.visits, ref.visits)
-        assert np.array_equal(moves, _reference_moves(ref.states, d))
+        assert np.array_equal(raw.moves, _reference_moves(ref.history, d))
         if keep_path:
-            assert np.array_equal(raw.states, ref.states)
+            assert np.array_equal(raw.history, ref.history)
     far_views, near_views = ([isinstance(_slice(rows), slice) for rows in seen]
                              for seen in (far, near))
     if plan.start[0] == 40:
@@ -326,9 +321,10 @@ def test_rows_are_a_slice_only_when_consecutive():
 
 def test_row_of_the_origin_at_the_largest_dimension():
     d = simulate._MAX_DIM
-    row = _row(np.zeros((d, 3), dtype=np.int64))
+    bit = np.arange(d, dtype=np.uint16)[:, None]
+    row = _row(np.zeros((d, 3), dtype=np.int64), bit)
     assert row.dtype == np.intp and row.tolist() == [2**16 - 1] * 3
-    assert _row(np.eye(d, dtype=np.int64)[:, :2]).tolist() == [2**16 - 2, 2**16 - 3]
+    assert _row(np.eye(d, dtype=np.int64)[:, :2], bit).tolist() == [2**16 - 2, 2**16 - 3]
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -355,10 +351,11 @@ def test_move_table_rows_are_the_law_at_their_sites(d, lam):
     p = ModelParams(d, lam)
     widths, big_d = _table(p)
     assert widths.shape == (2**d, 2 * d) and big_d.shape == (2**d,)
+    bit = np.arange(d, dtype=np.uint16)[:, None]
     for r in range(2**d):
         for far in (1, 7):
             site = tuple(0 if r >> i & 1 else far for i in range(d))
-            assert _row(np.array(site)[:, None]).tolist() == [r]
+            assert _row(np.array(site)[:, None], bit).tolist() == [r]
             law, law_d = _moves(p, "reflected", site)
             assert big_d[r] == law_d
             assert widths[r].tolist() == [float(w) for pair in law for w in pair]
@@ -708,3 +705,29 @@ def test_results_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
                      *vars(martingale_diagnostic(plan)).values()])
     for a, b in zip(*runs):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_only_the_martingale_statistics_take_the_martingale_sums():
+    # _run returns the stepped walk; the statistics that report no
+    # martingale sum never take them, and the two that do take them once
+    plan = SimPlan(ModelParams(2, 0.9), (0, 0), 2 * _BLOCK + 5, 40, seed=31)
+    single = SimPlan(ModelParams(2, 0.9), (0, 0), 2 * _BLOCK + 5, 1, seed=31)
+    ref = _reference_run(plan, keep_path=True, max_elements=10**8)
+
+    def refuse(walk):
+        raise AssertionError("took the martingale sums")
+    with mock.patch.object(_Walk, "martingale_sums", refuse):
+        paths, path, visits = trajectories(plan), trajectory(single), boundary_visits(plan)
+    assert np.array_equal(paths, np.swapaxes(ref.history, 0, 1))
+    assert np.array_equal(path, ref.history[:, 0])
+    assert visits == dict(sorted(Counter(ref.visits.tolist()).items()))
+    sums = _Walk.martingale_sums
+    for run in (simulate_batch, martingale_diagnostic):
+        calls = []
+
+        def count(walk):
+            calls.append(walk)
+            return sums(walk)
+        with mock.patch.object(_Walk, "martingale_sums", count):
+            run(plan)
+        assert len(calls) == 1
