@@ -442,8 +442,9 @@ def _require_transform_params(cfg: dict, command: str) -> ModelParams:
     return _params(cfg)
 
 
-# Points a rate-fn grid may hold; --grid 316 at d=2 takes about 5 s on a
-# 2-core machine and writes a 28 MB JSON artifact (about 2.6 s as CSV).
+# Points a rate-fn grid may hold.  --grid 316 at d=2 (99 856 points) took
+# 2.0-3.0 s as JSON (28.6 MB) and 0.9-1.3 s as CSV (7.1 MB): cli.main in
+# process with --out, 5 runs of each on a 2-core machine.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -471,29 +472,16 @@ def _run_rate_fn(cfg: dict):
         axis = np.linspace(0.0, 1.0, grid)
         mesh = np.meshgrid(*([axis] * p.dim), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-    results = ldp.rate_functions(p, points)
-    points = points.tolist()
-    records = [
-        {
-            "x": pt,
-            "value": res.value,
-            "class": res.domain_class,
-            "argmax_s": None if res.argmax_s is None else list(res.argmax_s),
-            "at_infinity": res.at_infinity,
-            "iterations": res.iterations,
-            "kkt_residual": res.kkt_residual,
-        }
-        for pt, res in zip(points, results)
-    ]
+    columns = {"x": points.tolist(), **ldp.rate_functions(p, points)}
+    columns["class"] = columns.pop("domain_class")
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
     header = [f"x{i + 1}" for i in range(p.dim)] + ["rate", "class", "kkt_residual"]
-    rows = [[*pt, res.value, res.domain_class, res.kkt_residual]
-            for pt, res in zip(points, results)]
+    rows = [[*r["x"], r["value"], r["class"], r["kkt_residual"]] for r in records]
     if x is not None:
-        res = results[0]
-        summary = f"rate-fn: value={res.value!r} class={res.domain_class}"
+        summary = f"rate-fn: value={records[0]['value']!r} class={records[0]['class']}"
         return records[0], header, rows, summary
-    finite = sum(1 for res in results if not math.isinf(res.value))
-    summary = f"rate-fn: grid {grid}^{p.dim}, {finite}/{len(results)} points finite"
+    finite = sum(1 for v in columns["value"] if not math.isinf(v))
+    summary = f"rate-fn: grid {grid}^{p.dim}, {finite}/{len(records)} points finite"
     return {"rows": records}, header, rows, summary
 
 

@@ -24,9 +24,9 @@ u = 1 / sum_j cosh(t_j), to one lam-free scalar equation
 whose left side is convex and increasing in u; Newton's method from u = 1
 falls monotonically onto its root.  rate_functions solves that root for
 a whole array of points at once, each row under its own stop rule, and
-rate_function is its one-row case.  The maximizer is then
-s_i = s0 + ln((x_i + r_i)/u), so a coordinate with x_i = 0 sits at the
-kink s0, and
+returns one list per RateResult field; rate_function is its one-row
+case.  The maximizer is s_i = s0 + ln((x_i + r_i)/u), so a coordinate
+with x_i = 0 sits at the kink s0, and
 
     rate(x) = (|x|/2) ln(lam) - ln(rho) + ln(d) + (1 - |x|) ln(u)
               + sum_i x_i ln(x_i + r_i),        |x| = sum_i x_i.
@@ -201,15 +201,15 @@ def rate_function(p: ModelParams, x) -> RateResult:
     simplex (lam = 0).  The pair d = 1, lam = 0 is rejected: that walk is
     deterministic and has no rate function.
     """
-    return rate_functions(p, [x])[0]
+    value, s, *rest = (column[0] for column in rate_functions(p, [x]).values())
+    return RateResult(value, None if s is None else tuple(s), *rest)
 
 
-def rate_functions(p: ModelParams, points) -> list[RateResult]:
-    """rate_function at each row of a (k, d) array of points, with the
-    scalar roots of all rows solved at once; for d = 1 a flat list of k
-    numbers is k points.  Each result is the one rate_function gives for
-    its row alone, bit for bit.
-    """
+def rate_functions(p: ModelParams, points) -> dict[str, list]:
+    """rate_function at each of k points, with the scalar roots of all rows
+    solved at once: a (k, d) array, or for d = 1 a flat list of k numbers.
+    Returns a dict of plain lists, one per RateResult field in field order,
+    whose item i is rate_function's at point i, bit for bit (argmax_s a list)."""
     if p.dim == 1 and p.lam == 0.0:
         raise ValueError("rate function undefined for dim=1, lam=0")
     x = _finite_rows("x", points, p.dim)
@@ -254,14 +254,14 @@ def rate_functions(p: ModelParams, points) -> list[RateResult]:
             0.5 * total * math.log(p.lam) - math.log(p.rho) + math.log(d)
             + _xlogy(1.0 - total, ui) + _xlogy(xi, xi + r).sum(axis=1)
         )
-    value = np.where(value > 0.0, value, 0.0)
-    return [
-        RateResult(value=v, argmax_s=tuple(s) if f else None,
-                   at_infinity=c == "simplex_boundary" and not f, domain_class=c,
-                   iterations=n, kkt_residual=res)
-        for v, s, f, c, n, res in zip(value.tolist(), s_star.tolist(), found.tolist(),
-                                      classes.tolist(), iterations.tolist(), kkt.tolist())
-    ]
+    return {
+        "value": np.where(value > 0.0, value, 0.0).tolist(),
+        "argmax_s": [s if f else None for s, f in zip(s_star.tolist(), found.tolist())],
+        "at_infinity": (face & ~found).tolist(),
+        "domain_class": classes.tolist(),
+        "iterations": iterations.tolist(),
+        "kkt_residual": kkt.tolist(),
+    }
 
 
 def rate_closed_form(p: ModelParams, x) -> float:
@@ -384,7 +384,7 @@ def _slope_rates(p: ModelParams, slopes: np.ndarray) -> list[float]:
     query; a slope beyond double range is outside the domain."""
     finite = np.isfinite(slopes).all(axis=1)
     rates = np.full(len(slopes), math.inf)
-    rates[finite] = [res.value for res in rate_functions(p, slopes[finite])]
+    rates[finite] = rate_functions(p, slopes[finite])["value"]
     return rates.tolist()
 
 

@@ -4,6 +4,7 @@ path action, and the exact tail-rate comparison."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -1034,13 +1035,14 @@ def _bits(res: ldp.RateResult) -> tuple:
             res.iterations, exact_float(res.kkt_residual))
 
 
-def _assert_batch_is_one_point(p: ModelParams, points: np.ndarray) -> None:
-    kept = points.copy()
+def _assert_batch_is_one_point(p: ModelParams, points) -> None:
+    kept = np.copy(points)
     batch = ldp.rate_functions(p, points)
     assert np.array_equal(points, kept)     # the caller's points are not snapped
-    assert len(batch) == len(points)
-    for row, res in zip(points, batch):
-        assert _bits(res) == _bits(ldp.rate_function(p, row)), row.tolist()
+    assert all(len(column) == len(points) for column in batch.values())
+    for i, x in enumerate(points):
+        row = ldp.RateResult(**{name: column[i] for name, column in batch.items()})
+        assert _bits(row) == _bits(ldp.rate_function(p, x)), np.asarray(x).tolist()
 
 
 @given(query=rate_queries(), data=st.data())
@@ -1068,10 +1070,11 @@ def test_batch_matches_one_point_on_full_grids(d, grid, lam):
 
 def test_batch_of_no_points_and_of_scalars():
     p = ModelParams(2, 0.5)
-    assert ldp.rate_functions(p, np.empty((0, 2))) == []
+    empty = {field.name: [] for field in dataclasses.fields(ldp.RateResult)}
+    assert ldp.rate_functions(p, np.empty((0, 2))) == empty
     # an empty sequence is no points at every dimension
     for q in (p, ModelParams(3, 0.5)):
-        assert ldp.rate_functions(q, []) == ldp.rate_functions(q, ()) == []
+        assert ldp.rate_functions(q, []) == ldp.rate_functions(q, ()) == empty
     # batches that leave the face, the maximizer rows or the domain empty
     for q, rows in [(p, [[0.9, 0.5], [-0.1, 0.2]]),    # outside only
                     (p, [[0.5, 0.5], [1.0, 0.0]]),     # face only
@@ -1079,9 +1082,27 @@ def test_batch_of_no_points_and_of_scalars():
                     (ModelParams(2, 0.0), [[1.0, 0.0]]),
                     (ModelParams(2, 0.0), [[0.2, 0.3]])]:
         _assert_batch_is_one_point(q, np.array(rows))
-    assert ldp.rate_functions(P1, [0.2, 0.5]) == [ldp.rate_function(P1, 0.2),
-                                                  ldp.rate_function(P1, 0.5)]
+    _assert_batch_is_one_point(P1, [0.2, 0.5])
     with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape \(3,\)"):
         ldp.rate_functions(p, [[0.1, 0.2, 0.3]])
     with pytest.raises(ValueError, match=r"finite, got \[0.1, inf\]"):
         ldp.rate_functions(p, [[0.1, 0.2], [0.1, math.inf]])
+
+
+@pytest.mark.parametrize("p, points", [
+    (ModelParams(2, 0.5), [[0.1, 0.2], [0.5, 0.5], [0.3, 0.0], [0.9, 0.5], [1.0, 0.0]]),
+    (ModelParams(3, 0.0), [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.1, 0.1, 0.1]]),
+    (P1, [0.2, 1.0, 0.0, 1.5]),
+])
+def test_batch_columns_are_plain_python(p, points):
+    # one list per RateResult field, in field order, of the plain Python
+    # items cli._json renders; a numpy scalar would make it fail
+    batch = ldp.rate_functions(p, points)
+    assert list(batch) == [field.name for field in dataclasses.fields(ldp.RateResult)]
+    for column in batch.values():
+        assert type(column) is list and len(column) == len(points)
+    assert {type(v) for v in batch["value"] + batch["kkt_residual"]} == {float}
+    assert {type(n) for n in batch["iterations"]} == {int}
+    assert {type(s) for s in batch["argmax_s"]} == {list, type(None)}
+    assert {type(f) for f in batch["at_infinity"]} == {bool}
+    assert {type(c) for c in batch["domain_class"]} == {str}
