@@ -55,6 +55,10 @@ CASES: dict[str, list[str]] = {
             + ["--start", "2,0,13", "--steps", "30", "--paths", "5"]),
     **_both("simulate-dump", _model("simulate", 2, "0.5")
             + ["--steps", "10", "--paths", "3", "--dump-trajectories"]),
+    # coordinates near the int64 ceiling, whose digits must render exactly
+    **_both("simulate-dump-start", _model("simulate", 2, "0.5")
+            + ["--start", "9223372036854775000,3", "--steps", "6", "--paths", "3",
+               "--dump-trajectories"]),
     **_both("speed", _model("speed", 2, "0.5") + ["--steps", "50", "--paths", "10"]),
     **_both("clt", _model("clt", 2, "0.5") + ["--steps", "50", "--paths", "20"]),
     **_both("martingale", _model("martingale", 2, "0.5")
