@@ -10,8 +10,11 @@ is built from those declarations once per process.
 
 A runner returns (payload, header, rows, summary) in plain Python (int,
 float, str, bool, None, lists and dicts), converting numpy once with
-`.tolist()`.  CSV renders `rows`, the one table (JSON rows that repeat it
-are keyed `dict(zip(header, row))`); JSON renders the payload in one pass.
+`.tolist()`.  The one exception is the trajectory dump, whose int64 array
+is both its payload's leaf and its rows, so that its integers render
+through `%d` templates.  CSV renders `rows`, the one table (JSON rows
+that repeat it are keyed `dict(zip(header, row))`); JSON renders the
+payload in one pass.
 
 Settings resolve in three layers: built-in defaults, then a `--config`
 file of flat `key=value` lines (keys spelled like the long flags without
@@ -227,6 +230,8 @@ def _json(value, pad: str = "") -> str:
     written in one pass, with each non-finite float as its repr in quotes."""
     if type(value) in (int, float):
         return repr(value) if -math.inf < value < math.inf else f'"{value!r}"'
+    if isinstance(value, np.ndarray) and value.dtype.kind == "i":
+        return _int_block(value, pad)
     if not isinstance(value, (dict, list)) or not value:
         return json.dumps(value)  # a string, bool, None, [] or {}
     inner = pad + "  "
@@ -235,6 +240,33 @@ def _json(value, pad: str = "") -> str:
     items = [f"{inner}{json.encoder.encode_basestring_ascii(k)}: {_json(value[k], inner)}"
              for k in sorted(value)]
     return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+
+
+# The most integers one %d fill takes.  One fill of a whole large array
+# grows the heap in steps that later allocations leave fragmented, so the
+# resident size of a process that dumps again and again creeps up.
+_FILL_VALUES = 1024
+
+
+def _filled(item: str, sep: str, a: np.ndarray) -> str:
+    """sep.join(item % tuple(b.ravel().tolist()) for b in a), filled a block
+    of items along the first axis at a time."""
+    k = max(1, _FILL_VALUES * len(a) // a.size)
+    blocks = (a[j:j + k] for j in range(0, len(a), k))
+    return sep.join([sep.join([item] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])
+
+
+def _int_block(a: np.ndarray, pad: str) -> str:
+    """The text of _json(a.tolist(), pad) for an integer array: each item
+    along the first axis fills one %d template nested one level per
+    further axis."""
+    if not a.ndim or not a.size:
+        return _json(a.tolist(), pad)
+    pads = [pad + "  " * k for k in range(a.ndim + 1)]
+    template = "%d"
+    for size, outer, inner in reversed(list(zip(a.shape[1:], pads[1:], pads[2:]))):
+        template = "[\n" + ",\n".join([inner + template] * size) + f"\n{outer}]"
+    return "[\n" + _filled(pads[1] + template, ",\n", a) + f"\n{pad}]"
 
 
 def _cell(value) -> str:
@@ -246,7 +278,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
+def _csv_table(header: list[str], rows) -> str:
+    """The table of a list of rows, or of an int64 2-D array, whose rows
+    each fill one %d line."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%d"] * rows.shape[1]) + "\n"
+        return _csv_table(header, []) + _filled(line, "", rows)
     return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
@@ -258,7 +295,7 @@ def _render_artifact(cfg: dict, payload: dict, header: list[str], rows) -> str:
     comments = "".join(
         f"# {key}={_cell(value)}\n" for key, value in sorted(cfg.items()) if value is not None
     )
-    return comments + _csv_table(header, list(rows))
+    return comments + _csv_table(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +317,11 @@ def _run_simulate(cfg: dict):
     plan = simulate.SimPlan(p, _start(p, cfg, (0,) * p.dim, cfg["steps"]), cfg["steps"],
                             cfg["paths"], seed=cfg["seed"])
     if cfg["dump-trajectories"]:
-        states = simulate.trajectories(plan).tolist()
+        states = simulate.trajectories(plan)
         header = ["path", "step"] + [f"x{i + 1}" for i in range(p.dim)]
-        rows = ([j, k, *site] for j, path in enumerate(states)
-                for k, site in enumerate(path))
+        # path, step, x1..xd: one int64 row per visited site
+        paths, steps = np.indices(states.shape[:2]).reshape(2, -1, 1)
+        rows = np.hstack([paths, steps, states.reshape(-1, p.dim)])
         summary = f"simulate: dumped {plan.paths} trajectories of {plan.steps} steps"
         return {"trajectories": states}, header, rows, summary
     if plan.steps < 1:
@@ -569,7 +607,9 @@ def main(argv=None) -> int:
         artifact = _render_artifact(cfg, payload, header, rows)
         if args.out is not None:
             try:
-                Path(args.out).write_text(artifact)
+                # a name given in a non-UTF-8 locale holds its undecodable
+                # bytes as surrogates, which go out as the same bytes
+                Path(args.out).write_text(artifact, encoding="utf-8", errors="surrogateescape")
             except OSError as err:
                 raise CliError(f"--out: cannot write {args.out!r}: {err.strerror}") from None
     except (CliError, ValueError) as err:
