@@ -251,7 +251,7 @@ _FILL_VALUES = 1024
 def _filled(item: str, sep: str, a: np.ndarray) -> str:
     """sep.join(item % tuple(b.ravel().tolist()) for b in a), filled a block
     of items along the first axis at a time."""
-    k = max(1, _FILL_VALUES * len(a) // a.size)
+    k = max(1, _FILL_VALUES * len(a) // max(a.size, 1))
     blocks = (a[j:j + k] for j in range(0, len(a), k))
     return sep.join([sep.join([item] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])
 

@@ -15,10 +15,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import biasedwalk
 from biasedwalk import cli, exact, ldp
@@ -416,6 +419,28 @@ def test_out_file_gets_artifact_stdout_gets_summary(tmp_path, capsys):
     assert body["max_abs_deviation"] <= 1e-12
 
 
+def test_out_file_holds_the_stdout_bytes_in_an_ascii_locale(tmp_path):
+    # in the C locale a non-ASCII --path reaches the CLI as undecodable
+    # bytes; --out writes them back as they came, as stdout does, instead
+    # of failing to encode them in the locale's encoding
+    env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    name = b"\xc3\xa9.json"  # bytes, so that the name needs no encoding here
+    with open(os.path.join(os.fsencode(tmp_path), name), "w") as f:
+        f.write('[{"t": 0, "phi": [0]}, {"t": 1, "phi": [0.5]}]')
+    argv = [sys.executable, "-m", "biasedwalk.cli", "path-rate", "--dim", "1",
+            "--lambda", "0.5", "--path", name, "--format", "csv"]
+
+    def run(*extra):
+        return subprocess.run([*argv, *extra], cwd=tmp_path, env=env, capture_output=True,
+                              check=True).stdout
+
+    stdout = run()
+    assert b"# path=" + name + b"\n" in stdout
+    assert run("--out", "x.csv").startswith(b"path-rate: action=")
+    assert (tmp_path / "x.csv").read_bytes() == stdout
+
+
 def test_artifacts_byte_identical_for_same_config(tmp_path, capsys):
     argv = ["simulate", "--dim", "2", "--lambda", "0.5", "--steps", "40",
             "--paths", "8", "--seed", "3"]
@@ -514,6 +539,31 @@ def test_json_writer_quotes_non_finite_floats(value):
     assert cli._json(value) == _reference_json(value)
 
 
+_INT64 = st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1, -1, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5),
+                    elements=_INT64),
+       depth=st.integers(0, 3), fill=st.integers(1, 700))
+def test_int_block_template_matches_the_json_writer(a, depth, fill):
+    # an int64 array renders through %d templates exactly as the writer
+    # renders its .tolist(), at any indent and in fills of any size
+    pad = "  " * depth
+    with mock.patch.object(cli, "_FILL_VALUES", fill):
+        assert cli._json(a, pad) == cli._json(a.tolist(), pad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.int64, st.tuples(st.integers(0, 20), st.integers(1, 6)),
+                    elements=_INT64),
+       fill=st.integers(1, 130))
+def test_csv_line_template_matches_the_cell_join(a, fill):
+    header = [f"c{i}" for i in range(a.shape[1])]
+    with mock.patch.object(cli, "_FILL_VALUES", fill):
+        assert cli._csv_table(header, a) == cli._csv_table(header, a.tolist())
+
+
 _PLAIN = (int, float, str, bool, type(None))
 
 
@@ -564,7 +614,8 @@ def test_contract_runs_cover_every_subcommand():
 @pytest.mark.parametrize("run", list(_CONTRACT_RUNS))
 def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys):
     # the artifact layer gets plain Python only: numpy is converted once,
-    # by the runner, never by the renderer
+    # by the runner, never by the renderer.  The one exception is the
+    # trajectory dump's int64 array, its payload's leaf and its rows
     (tmp_path / "path.json").write_text(
         '[{"t": 0, "phi": [0]}, {"t": 0.5, "phi": [0.2]}, {"t": 1, "phi": [0.8]}]')
     monkeypatch.chdir(tmp_path)
@@ -572,7 +623,6 @@ def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys)
     render = cli._render_artifact
 
     def checked(cfg, payload, header, rows):
-        rows = list(rows)
         seen.append((cfg, payload, header, rows))
         return render(cfg, payload, header, rows)
 
@@ -581,12 +631,22 @@ def test_runners_hand_over_plain_python(run, fmt, tmp_path, monkeypatch, capsys)
     assert code == 0, err
     [(cfg, payload, header, rows)] = seen
     _assert_plain(cfg, "config")
-    _assert_plain(payload, "payload")
     assert type(header) is list and all(type(h) is str for h in header)
+    if run == "simulate-dump":
+        states = payload["trajectories"]
+        assert list(payload) == ["trajectories"]
+        for block in (states, rows):
+            assert type(block) is np.ndarray and block.dtype == np.int64
+        paths, steps, dim = states.shape
+        assert rows.shape == (paths * steps, len(header)) and dim == len(header) - 2
+        payload, rows = {"trajectories": states.tolist()}, rows.tolist()
+    _assert_plain(payload, "payload")
     assert rows and all(type(row) is list and len(row) == len(header) for row in rows)
     _assert_plain(rows, "rows")
     if fmt == "json":
         assert out == _reference_json({"config": cfg, **payload}) + "\n"
+    else:
+        assert out.endswith(cli._csv_table(header, rows))
 
 
 @pytest.mark.parametrize("run", list(_CONTRACT_RUNS))
@@ -1023,3 +1083,18 @@ def test_one_step_sweeps_in_high_dimension_stay_small(argv):
     code, max_rss = map(int, out.split())
     assert code == 0
     assert max_rss < 200 * 1024, max_rss
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_large_trajectory_dump_stays_small(fmt):
+    # 10 000 paths of 100 steps at d=2: the dump's integers fill %d
+    # templates a block at a time, and a fresh process renders it in under
+    # 280 MiB (the per-value renderer took 340 MiB for the CSV)
+    env = dict(os.environ, PYTHONPATH=str(Path(biasedwalk.__file__).parents[1]))
+    argv = ["simulate", "--dim", "2", "--lambda", "0.5", "--steps", "100", "--paths", "10000",
+            "--dump-trajectories", "--format", fmt]
+    out = subprocess.run([sys.executable, "-c", _MAX_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, max_rss = map(int, out.split())
+    assert code == 0
+    assert max_rss < 280 * 1024, max_rss
