@@ -239,7 +239,9 @@ def _json(value, pad: str = "") -> str:
         return "[\n" + ",\n".join([inner + _json(v, inner) for v in value]) + f"\n{pad}]"
     items = [f"{inner}{json.encoder.encode_basestring_ascii(k)}: {_json(value[k], inner)}"
              for k in sorted(value)]
-    return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    items[0] = "{\n" + items[0]  # "{" + join + "}" would copy the text twice more
+    items[-1] += f"\n{pad}}}"
+    return ",\n".join(items)
 
 
 # The most integers one %d fill takes.  One fill of a whole large array
@@ -260,8 +262,6 @@ def _int_block(a: np.ndarray, pad: str) -> str:
     """The text of _json(a.tolist(), pad) for an integer array: each item
     along the first axis fills one %d template nested one level per
     further axis."""
-    if not a.ndim or not a.size:
-        return _json(a.tolist(), pad)
     pads = [pad + "  " * k for k in range(a.ndim + 1)]
     template = "%d"
     for size, outer, inner in reversed(list(zip(a.shape[1:], pads[1:], pads[2:]))):

@@ -89,24 +89,17 @@ def _log_psi_rows(p: ModelParams, s: np.ndarray) -> np.ndarray:
     return exact._logsumexp(terms)
 
 
-def _xlogy_one(x: float, y: float) -> float:
-    # NaN first: an ordered comparison with NaN raises the invalid flag
-    if math.isnan(y):
-        return math.nan
-    if x == 0.0:
-        return 0.0
-    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
-
-
-_xlogy_loop = np.frompyfunc(_xlogy_one, 2, 1)
-
-
 def _xlogy(x, y):
     """x ln y, and 0 where x == 0 and y is not NaN, elementwise over
     broadcast scalars or arrays.  The log is libm's (math.log): np.log
     differs from it in the last bit on some inputs and CPUs, and the rate
     artifacts were recorded with libm's."""
-    return np.asarray(_xlogy_loop(x, y), dtype=float)[()]
+    y = np.asarray(y, dtype=float)
+    log = np.where(y == 0.0, -math.inf, math.nan)
+    positive = y > 0.0
+    log[positive] = list(map(math.log, y[positive].tolist()))
+    with np.errstate(invalid="ignore"):  # 0 * -inf (masked to 0) and inf * ln 1 (NaN)
+        return np.where((x == 0.0) & ~np.isnan(y), 0.0, x * log)[()]
 
 
 def psi(p: ModelParams, s) -> float:

@@ -71,6 +71,55 @@ def test_xlogy_matches_scipy_on_uniform_draws():
     assert _same_bits(ldp._xlogy(x, y), xlogy(x, y))
 
 
+def _xlogy_reference(x: float, y: float) -> float:
+    # the scalar loop the vectorised _xlogy replaced; NaN first, since an
+    # ordered comparison with NaN raises the invalid flag
+    if math.isnan(y):
+        return math.nan
+    if x == 0.0:
+        return 0.0
+    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
+
+
+def _xlogy_loop(x, y):
+    return np.asarray(np.frompyfunc(_xlogy_reference, 2, 1)(x, y), dtype=float)[()]
+
+
+_XLOGY_SPECIAL = np.array([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, 1e308,
+                           math.inf, -math.inf, math.nan, -1.0, -5e-324])
+
+
+def _warned(f, x, y):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = f(x, y)
+    return result, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+@pytest.mark.parametrize("shape", ["0-d", "1-D", "2-D", "broadcast"])
+def test_xlogy_matches_the_scalar_loop(shape):
+    # every pair of special values: the same bits and result type as the
+    # scalar loop, and no RuntimeWarning where the loop is silent (the
+    # loop's invalid flag at x = NaN comes and goes between runs; _xlogy
+    # raises none there)
+    v = _XLOGY_SPECIAL
+    xs, ys = np.meshgrid(v, v, indexing="ij")
+    cases = {
+        "0-d": [(float(a), float(b)) for a, b in zip(xs.ravel(), ys.ravel())],
+        "1-D": [(xs.ravel(), ys.ravel()),
+                *[(np.full(3, a), np.array([b, 0.5, b])) for a in v for b in v]],
+        "2-D": [(xs, ys), (xs.T, ys), (xs.reshape(7, 28), ys.reshape(7, 28))],
+        "broadcast": [(v[:, None], v[None, :]), (v, v[:, None]), (v[:, None], 0.0), (0.0, v),
+                      (float(v[2]), v[None, :]), (xs[None], v)],
+    }[shape]
+    for x, y in cases:
+        expect, expect_warned = _warned(_xlogy_loop, x, y)
+        got, got_warned = _warned(ldp._xlogy, x, y)
+        assert type(got) is type(expect), (x, y)
+        assert _same_bits(got, expect), (x, y)
+        assert expect_warned or not got_warned, (x, y)
+
+
 def test_xlogy_at_zero_x():
     # the edge values, each without a warning (a RuntimeWarning fails the
     # suite); an ordered comparison with NaN would raise the invalid flag
